@@ -29,9 +29,17 @@ code and unified with whatever the group already recorded on this path;
 analyses lacking an attribute unify with anything.
 
 Flattening inlines every call with fresh state ids, connected by epsilon
-transitions, turning the grammar into one plain finite-state graph.  A
-direct recursive interpreter over the unflattened grammar is kept as the
-reference implementation; both must agree on every match span.
+transitions, turning the grammar into one plain finite-state graph.
+``locate`` compiles a flattened graph once and caches the result on it:
+epsilon closures are precomputed for the initial state and every
+consuming-transition target, keeping only finals and states with a
+consuming out-edge; each state's consuming transitions are grouped; and
+what a label makes of a token (``readings``) is memoized per label and
+analysis set, or per surface for literals.  The simulation then runs from
+each start token that some label leaving the initial closure accepts.
+The direct recursive interpreter over the unflattened grammar,
+``locate_recursive``, stays the reference implementation (the oracle);
+both must agree on every match span and binding.
 """
 from __future__ import annotations
 
@@ -99,6 +107,7 @@ class Graph:
     finals: frozenset[int]
     transitions: tuple[tuple[int, Label, int], ...]
     _adj: dict | None = field(default=None, repr=False, compare=False)
+    _matcher: _Compiled | None = field(default=None, repr=False, compare=False)
 
     def adjacency(self) -> dict[int, list[tuple[Label, int]]]:
         if self._adj is None:
@@ -227,21 +236,25 @@ def _finish_graph(name: str, path: str, lineno: int, init: int | None,
     for frm, label, to in trans:
         if label is EPSILON:
             eps_adj.setdefault(frm, []).append(to)
-    color: dict[int, int] = {}
-
-    def dfs(state: int) -> bool:
-        color[state] = 1
-        for nxt in eps_adj.get(state, ()):
-            if color.get(nxt) == 1:
-                return True
-            if color.get(nxt) is None and dfs(nxt):
-                return True
-        color[state] = 2
-        return False
-
-    for state in list(eps_adj):
-        if color.get(state) is None and dfs(state):
-            raise MalformedGraph(path, lineno, f"graph {name!r}: epsilon cycle")
+    done: set[int] = set()
+    for root in eps_adj:
+        if root in done:
+            continue
+        on_path = {root}
+        stack = [(root, iter(eps_adj[root]))]
+        while stack:
+            state, successors = stack[-1]
+            for nxt in successors:
+                if nxt in on_path:
+                    raise MalformedGraph(path, lineno, f"graph {name!r}: epsilon cycle")
+                if nxt not in done:
+                    on_path.add(nxt)
+                    stack.append((nxt, iter(eps_adj.get(nxt, ()))))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(state)
+                done.add(state)
     return graph
 
 
@@ -438,32 +451,52 @@ def _satisfies(mask: Mask, analysis) -> bool:
     return all(ch in analysis.infl_code for ch in mask.infl_constraint)
 
 
-def _label_outcomes(label: Label, ttoken: TaggedToken,
-                    bindings: Bindings) -> list[Bindings]:
-    """Every distinct binding state a consuming label can reach on a token.
+def readings(label: Label, key) -> tuple | None:
+    """What a consuming label makes of one token, independent of bindings.
 
-    A non-agreeing label yields at most one outcome; an agreeing mask over
-    an ambiguous token can fork into several.
+    ``key`` is the token's surface for a literal and its analysis set for
+    a mask.  None means the label rejects the token.  Otherwise the result
+    is the ordered distinct (gender, number) pairs of the satisfying
+    analyses for an agreeing mask, and the empty tuple for any other
+    label.
     """
     if isinstance(label, Literal):
-        surface = ttoken.token.surface
-        ok = (surface.lower() == label.surface.lower()) if label.fold \
-            else (surface == label.surface)
-        return [bindings] if ok else []
+        ok = (key.lower() == label.surface.lower()) if label.fold \
+            else (key == label.surface)
+        return () if ok else None
     if isinstance(label, Mask):
-        outcomes: list[Bindings] = []
-        for analysis in sorted(ttoken.analyses, key=lambda a: a.sort_key):
-            if not _satisfies(label, analysis):
-                continue
-            if label.agree_group is None:
-                return [bindings]
-            unified = _unify(bindings, label.agree_group,
-                             _gender_of(analysis.infl_code),
-                             _number_of(analysis.infl_code))
-            if unified is not None and unified not in outcomes:
-                outcomes.append(unified)
-        return outcomes
+        if label.agree_group is None:
+            return () if any(_satisfies(label, a) for a in key) else None
+        pairs: list[tuple[str | None, str | None]] = []
+        for analysis in sorted(key, key=lambda a: a.sort_key):
+            if _satisfies(label, analysis):
+                pair = (_gender_of(analysis.infl_code), _number_of(analysis.infl_code))
+                if pair not in pairs:
+                    pairs.append(pair)
+        return tuple(pairs) or None
     raise ValueError(f"label {label!r} does not consume a token")
+
+
+def _outcomes(label: Label, found: tuple | None,
+              bindings: Bindings) -> list[Bindings]:
+    """Every distinct binding state the label's readings reach from
+    ``bindings``; an agreeing mask over an ambiguous token can fork."""
+    if found is None:
+        return []
+    if not found:
+        return [bindings]
+    out: list[Bindings] = []
+    for gender, number in found:
+        unified = _unify(bindings, label.agree_group, gender, number)
+        if unified is not None and unified not in out:
+            out.append(unified)
+    return out
+
+
+def _label_outcomes(label: Label, ttoken: TaggedToken,
+                    bindings: Bindings) -> list[Bindings]:
+    key = ttoken.token.surface if isinstance(label, Literal) else ttoken.analyses
+    return _outcomes(label, readings(label, key), bindings)
 
 
 def match_label(label: Label, tagged_token: TaggedToken,
@@ -473,58 +506,120 @@ def match_label(label: Label, tagged_token: TaggedToken,
     return outcomes[0] if outcomes else None
 
 
+def _representative(candidates) -> Bindings:
+    """The binding reported for a span that several paths accept: the
+    least by ``repr``, a total order on binding tuples."""
+    return min(candidates, key=repr)
+
+
 # ---------------------------------------------------------------------------
-# simulation over flattened graphs
+# compiled matcher over flattened graphs
 
-def _closure(graph: Graph, configs: dict) -> dict:
-    """Epsilon closure over (state, bindings) configurations, order-stable."""
+class _Readings(dict):
+    """Memo of readings() for one label, filled on first use of a key."""
+
+    __slots__ = ("label",)
+
+    def __init__(self, label: Label):
+        super().__init__()
+        self.label = label
+
+    def __missing__(self, key):
+        found = self[key] = readings(self.label, key)
+        return found
+
+
+@dataclass
+class _Compiled:
+    """A flattened graph prepared for simulation.
+
+    Closures hold only the states that matter after an epsilon walk:
+    finals and states with a consuming out-edge.  ``edges[s]`` lists the
+    consuming transitions of ``s`` as (memo, literal?, label, closure of
+    the target); ``first`` holds the (memo, literal?) pairs that can
+    consume a match's first token.
+    """
+
+    finals: frozenset[int]
+    start: tuple[int, ...]
+    edges: list[tuple]
+    first: tuple
+
+
+def _compile(graph: Graph) -> _Compiled:
     adj = graph.adjacency()
-    out = dict(configs)
-    frontier = list(configs)
-    while frontier:
-        state, bindings = frontier.pop()
-        for label, to in adj[state]:
-            if label is EPSILON:
-                key = (to, bindings)
-                if key not in out:
-                    out[key] = None
-                    frontier.append(key)
-    return out
-
-
-def _assert_flat(graph: Graph) -> None:
     for _, label, _ in graph.transitions:
         if isinstance(label, Call):
             raise ValueError("locate needs a flattened graph (call label found)")
+    important = [state in graph.finals or any(label is not EPSILON for label, _ in adj[state])
+                 for state in range(graph.n_states)]
+    closures: dict[int, tuple[int, ...]] = {}
+
+    def closure(state: int) -> tuple[int, ...]:
+        if state not in closures:
+            seen = {state}
+            frontier = [state]
+            out = []
+            while frontier:
+                here = frontier.pop()
+                if important[here]:
+                    out.append(here)
+                for label, to in adj[here]:
+                    if label is EPSILON and to not in seen:
+                        seen.add(to)
+                        frontier.append(to)
+            closures[state] = tuple(out)
+        return closures[state]
+
+    memos: dict[Label, _Readings] = {}
+    edges: list[tuple] = []
+    for state in range(graph.n_states):
+        row = []
+        for label, to in adj[state]:
+            if label is not EPSILON:
+                if label not in memos:
+                    memos[label] = _Readings(label)
+                row.append((memos[label], isinstance(label, Literal), label, closure(to)))
+        edges.append(tuple(row))
+    start = closure(graph.initial)
+    first = {id(memo): (memo, literal)
+             for state in start for memo, literal, _, _ in edges[state]}
+    return _Compiled(graph.finals, start, edges, tuple(first.values()))
 
 
-def _spans_from(graph: Graph, tagged: TaggedText, start: int,
-                limit: int, seed: Bindings) -> dict[int, Bindings]:
-    """Accepting span ends (exclusive) from one start token, with a
-    deterministic representative binding per end."""
-    adj = graph.adjacency()
+def _compiled(graph: Graph) -> _Compiled:
+    if graph._matcher is None:
+        graph._matcher = _compile(graph)
+    return graph._matcher
+
+
+def _accepts(m: _Compiled, tagged: TaggedText, start: int, limit: int,
+             seed: Bindings) -> dict[int, Bindings]:
+    """Accepting span ends (exclusive) from one start token up to
+    ``limit``, with the representative binding of each end."""
+    tokens = tagged.tokens
+    edges = m.edges
+    finals = m.finals
     accepts: dict[int, Bindings] = {}
-    configs = _closure(graph, {(graph.initial, seed): None})
+    configs = [(state, seed) for state in m.start]
     pos = start
-    while configs:
-        if pos > start:
-            finals = [b for (s, b) in configs if s in graph.finals]
-            if finals:
-                accepts[pos] = min(finals, key=repr)
-        if pos >= limit:
-            break
-        step: dict = {}
-        ttoken = tagged.tokens[pos]
+    while configs and pos < limit:
+        ttoken = tokens[pos]
+        surface, analyses = ttoken.token.surface, ttoken.analyses
+        step: dict[tuple[int, Bindings], None] = {}
         for state, bindings in configs:
-            for label, to in adj[state]:
-                if label is EPSILON:
+            for memo, literal, label, targets in edges[state]:
+                found = memo[surface if literal else analyses]
+                if found is None:
                     continue
-                for after in _label_outcomes(label, ttoken, bindings):
-                    key = (to, after)
-                    if key not in step:
-                        step[key] = None
-        configs = _closure(graph, step)
+                for after in _outcomes(label, found, bindings) if found else (bindings,):
+                    for target in targets:
+                        step[(target, after)] = None
+        configs = step
         pos += 1
+        ends = [bindings for state, bindings in configs if state in finals]
+        if ends:
+            accepts[pos] = _representative(ends)
     return accepts
 
 
@@ -549,18 +644,25 @@ def _make_match(tagged: TaggedText, start: int, end: int, name: str,
 def locate(flat: Graph, tagged: TaggedText, policy: str = POLICY_LONGEST) -> list[Match]:
     """All matches of a flattened graph over tagged text.
 
-    Simulation runs from every start token, never crosses a sentence
-    boundary, and reports spans per policy: the maximal end per start
-    (longest), the minimal one (shortest), or every accepting span (all).
-    Output is sorted by (start, end).
+    Simulation runs from every start token whose first token some initial
+    label accepts, never crosses a sentence boundary, and reports spans
+    per policy: the maximal end per start (longest), the minimal one
+    (shortest), or every accepting span (all).  Output is sorted by
+    (start, end).
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    _assert_flat(flat)
+    m = _compiled(flat)
     matches: list[Match] = []
-    for start in range(len(tagged.tokens)):
+    for start, ttoken in enumerate(tagged.tokens):
+        surface, analyses = ttoken.token.surface, ttoken.analyses
+        for memo, literal in m.first:
+            if memo[surface if literal else analyses] is not None:
+                break
+        else:
+            continue  # no initial label accepts this token
         limit = tagged.sentence_end(start)
-        accepts = _spans_from(flat, tagged, start, limit, EMPTY_BINDINGS)
+        accepts = _accepts(m, tagged, start, limit, EMPTY_BINDINGS)
         for end in _select(accepts, policy):
             matches.append(_make_match(tagged, start, end, flat.name, accepts[end]))
     return matches
@@ -573,11 +675,9 @@ def span_accepts(flat: Graph, tagged: TaggedText, start: int, end: int,
     seed: Bindings = EMPTY_BINDINGS
     if bindings:
         seed = tuple(sorted(dict(bindings).items()))
-    limit = tagged.sentence_end(start)
-    if end > limit:
+    if end > tagged.sentence_end(start):
         return False
-    accepts = _spans_from(flat, tagged, start, min(end, limit), seed)
-    return end in accepts
+    return end in _accepts(_compiled(flat), tagged, start, end, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -624,12 +724,11 @@ def locate_recursive(grammar: Grammar, tagged: TaggedText,
     for start in range(len(tagged.tokens)):
         limit = tagged.sentence_end(start)
         raw = _descend(grammar, grammar.main, start, limit, EMPTY_BINDINGS, tagged)
-        accepts: dict[int, Bindings] = {}
+        reached: dict[int, list[Bindings]] = {}
         for (end, bindings) in raw:
-            if end <= start:
-                continue
-            if end not in accepts or repr(bindings) < repr(accepts[end]):
-                accepts[end] = bindings
+            if end > start:
+                reached.setdefault(end, []).append(bindings)
+        accepts = {end: _representative(found) for end, found in reached.items()}
         for end in _select(accepts, policy):
             matches.append(_make_match(tagged, start, end, grammar.main,
                                        accepts[end]))

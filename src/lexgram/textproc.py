@@ -25,6 +25,7 @@ PUNCT = "punct"
 NUMBER = "number"
 
 UNKNOWN = Analysis(lemma="?", category="UNKNOWN", sem_features=frozenset())
+UNKNOWN_ANALYSES = frozenset([UNKNOWN])
 
 _APOSTROPHES = ("'", "’")
 _SENTENCE_FINAL = (".", "!", "?")
@@ -50,7 +51,7 @@ class TaggedToken:
 
     @property
     def is_unknown(self) -> bool:
-        return self.analyses == frozenset([UNKNOWN])
+        return self.analyses == UNKNOWN_ANALYSES
 
 
 @dataclass
@@ -188,13 +189,16 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _punct_analysis(surface: str) -> Analysis:
+def _fixed_analysis(token: Token) -> Analysis:
+    """The single analysis of a punctuation or number token."""
+    if token.kind == NUMBER:
+        return Analysis(lemma=token.surface, category="NUM", sem_features=frozenset())
     feats = set()
-    if surface in _OPENERS:
+    if token.surface in _OPENERS:
         feats.add("OPEN")
-    elif surface in _CLOSERS:
+    elif token.surface in _CLOSERS:
         feats.add("CLOSE")
-    return Analysis(lemma=surface, category="PONCT", sem_features=frozenset(feats))
+    return Analysis(lemma=token.surface, category="PONCT", sem_features=frozenset(feats))
 
 
 def tag(tokens: list[Token], index: LexIndex, source: str,
@@ -204,20 +208,21 @@ def tag(tokens: list[Token], index: LexIndex, source: str,
     Word tokens keep the full lookup result (folding applies only to
     sentence-initial tokens and only under the fold policy); punctuation
     gets a PONCT analysis, digit runs a NUM analysis, uncovered words the
-    UNKNOWN pseudo-analysis.
+    UNKNOWN pseudo-analysis.  Tokens with the same analyses share one set
+    object (the index already returns one set per form), so matchers can
+    memoize per set.
     """
     tagged: list[TaggedToken] = []
+    fixed: dict[tuple[str, str], frozenset[Analysis]] = {}
     for token in tokens:
         if token.kind == WORD:
             policy = case_policy if token.sentence_initial else CASE_EXACT
-            analyses = lookup(index, token.surface, policy)
-            if not analyses:
-                analyses = frozenset([UNKNOWN])
-        elif token.kind == PUNCT:
-            analyses = frozenset([_punct_analysis(token.surface)])
+            analyses = lookup(index, token.surface, policy) or UNKNOWN_ANALYSES
         else:
-            analyses = frozenset([Analysis(lemma=token.surface, category="NUM",
-                                           sem_features=frozenset())])
+            key = (token.kind, token.surface)
+            analyses = fixed.get(key)
+            if analyses is None:
+                analyses = fixed[key] = frozenset([_fixed_analysis(token)])
         tagged.append(TaggedToken(token, analyses))
 
     spans = [(t.start, t.end, t.kind) for t in tokens]

@@ -92,6 +92,20 @@ def test_malformed_grammar_exit_code(tmp_path, capsys):
     assert "MalformedGraph" in err
 
 
+def test_epsilon_cycle_grammar_exit_code(tmp_path, capsys):
+    (tmp_path / "ok.dic").write_text("le,le.DET:ms\n")
+    chain = "".join(f"trans {i} {i + 1} <E>\n" for i in range(3000))
+    (tmp_path / "g.grm").write_text("graph G\ninit 0\nfinal 3001\n" + chain
+                                    + "trans 3000 3001 <DET>\ntrans 3000 0 <E>\n")
+    (tmp_path / "d.txt").write_text("Bonjour.\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lexicon = ok.dic\npn_grammar = g.grm\nsvc_grammar = g.grm\n"
+                   "corpus = d.txt\nout = out\n")
+    code, _, err = run_cli(capsys, "run", "-c", str(cfg))
+    assert code == 4
+    assert "epsilon cycle" in err
+
+
 def test_invalid_corpus_encoding_exit_code(tmp_path, capsys):
     dic = tmp_path / "ok.dic"
     dic.write_text("le,le.DET:ms\n")

@@ -10,7 +10,8 @@ from lexgram.classify import classify_pn
 from lexgram.concord import ConcordanceLine, build_concordance, sort_concordance
 from lexgram.evaluation import bias_correct
 from lexgram.lexicon import build_index, parse_entry
-from lexgram.rtn import EPSILON, Graph, Literal, Mask, Match, locate
+from lexgram.rtn import (EPSILON, Grammar, Graph, Literal, Mask, Match, locate,
+                         locate_recursive, span_accepts)
 from lexgram.textproc import tag, tokenize
 
 CASES = 1000
@@ -89,6 +90,21 @@ def test_longest_match_antichain_randomized():
         longest_by_start = {m.start_token: m.end_token for m in matches}
         for m in locate(graph, tagged, "all"):
             assert longest_by_start[m.start_token] >= m.end_token
+
+
+@settings(max_examples=CASES, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_compiled_matcher_equals_reference(rng):
+    tagged = random_tagged(rng)
+    graph = random_flat_graph(rng)
+    grammar = Grammar({"R": graph}, "R")
+    for policy in ("longest", "all", "shortest"):
+        direct = [(m.span, m.bindings) for m in locate(graph, tagged, policy)]
+        reference = [(m.span, m.bindings)
+                     for m in locate_recursive(grammar, tagged, policy)]
+        assert direct == reference, policy
+    for m in locate(graph, tagged, "all"):
+        assert span_accepts(graph, tagged, m.start_token, m.end_token, m.bindings)
 
 
 def test_match_line_bijection_randomized():

@@ -85,6 +85,26 @@ def test_epsilon_cycle_rejected_at_load():
         parse_graph_file(text)
 
 
+def _epsilon_chain(n, closing=""):
+    lines = ["graph A", "init 0", f"final {n + 1}"]
+    lines += [f"trans {i} {i + 1} <E>" for i in range(n)]
+    lines.append(f"trans {n} {n + 1} <DET>")
+    return "\n".join(lines + [closing]) + "\n"
+
+
+def test_long_epsilon_chain_loads_flattens_and_locates():
+    g = parse_graph_file(_epsilon_chain(3000))[0]
+    flat = flatten(_grammar(g))
+    tagged = tagged_text("le débat")
+    assert [m.span for m in locate(flat, tagged)] == [(0, 1)]
+    assert [m.span for m in locate_recursive(_grammar(g), tagged)] == [(0, 1)]
+
+
+def test_long_epsilon_cycle_rejected_at_load():
+    with pytest.raises(MalformedGraph):
+        parse_graph_file(_epsilon_chain(3000, closing="trans 3000 0 <E>"))
+
+
 def test_mask_parse_full_spec():
     text = 'graph A\ninit 0\nfinal 1\ntrans 0 1 <donner.V+Supp-Aux:Kp!g1>\n'
     g = parse_graph_file(text)[0]
@@ -329,6 +349,7 @@ def test_flattened_equals_recursive_everywhere(all_grammar_files, tagged_docs):
         flat = flatten(grammar)
         for policy in ("longest", "all", "shortest"):
             for _, tagged in tagged_docs:
-                direct = [m.span for m in locate(flat, tagged, policy)]
-                via_interp = [m.span for m in locate_recursive(grammar, tagged, policy)]
+                direct = [(m.span, m.bindings) for m in locate(flat, tagged, policy)]
+                via_interp = [(m.span, m.bindings)
+                              for m in locate_recursive(grammar, tagged, policy)]
                 assert direct == via_interp, (path, policy)
