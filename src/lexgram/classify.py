@@ -6,9 +6,10 @@ sentence; verb matches never cross sentence boundaries, so containment
 implies the same sentence).  A match contained in several verb spans
 still counts once: the statistics are per occurrence.
 
-The per-subcategory mode reruns both grammars over a lexicon filtered to
-one subcategory.  A noun listed under two subcategories is counted in
-both rows, so subcategory counts may sum above the global row.
+Each per-subcategory row locates that subcategory's grammars over the
+tagged corpus restricted to the subcategory (``textproc.restrict_tagging``).
+A noun listed under two subcategories is counted in both rows, so
+subcategory counts may sum above the global row.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 from . import evaluation
 from .errors import LexgramError
-from .lexicon import CASE_FOLD, SUBCATEGORIES, LexEntry, build_index, filter_subcategory
-from .rtn import Grammar, Match, flatten, locate
-from .textproc import tag, tokenize
+from .lexicon import CASE_FOLD, SUBCATEGORIES, LexIndex
+from .rtn import Graph, Match, locate
+from .textproc import TaggedText, restrict_tagging
 
 ALL_SCOPE = "all"
 
@@ -85,44 +86,23 @@ def _ratio(part: int, whole: int) -> float:
     return part / whole if whole else 0.0
 
 
-def by_subcategory(docs: list[tuple[str, str]], entries: list[LexEntry],
-                   pn_grammar: Grammar, svc_grammar: Grammar,
+def by_subcategory(tagged_docs: list[tuple[str, TaggedText]], overall: ClassifiedCounts,
+                   index: LexIndex, pn_flat: Graph, svc_flat: Graph,
                    subcats: tuple[str, ...] = SUBCATEGORIES, *,
-                   pn_by_subcat: dict[str, Grammar] | None = None,
-                   svc_by_subcat: dict[str, Grammar] | None = None,
+                   pn_by_subcat: dict[str, Graph] | None = None,
+                   svc_by_subcat: dict[str, Graph] | None = None,
                    policy: str = "longest", case_policy: str = CASE_FOLD,
                    correction: tuple[tuple[float, float], tuple[float, float]] | None = None,
                    ) -> list[SubcatRow]:
-    """Rerun the pipeline per subcategory and build the report rows.
+    """One row per subcategory, then the ``all`` row of the global ``overall``.
 
+    ``tagged_docs`` is the corpus tagged against the full ``index``.  The
+    grammars are flattened; per-subcategory ones replace the main ones.
     ``correction`` supplies ((p_pn, r_pn), (p_svc, r_svc)); without it the
-    corrected column stays unset.  Dedicated per-subcategory grammars may
-    be supplied, otherwise the main grammars run over the filtered
-    lexicon.
+    corrected column stays unset.
     """
     pn_by_subcat = pn_by_subcat or {}
     svc_by_subcat = svc_by_subcat or {}
-    token_cache = [(doc_id, text, tokenize(text)) for doc_id, text in docs]
-    flats: dict[int, object] = {}
-
-    def flat_of(grammar: Grammar):
-        key = id(grammar)
-        if key not in flats:
-            flats[key] = flatten(grammar)
-        return flats[key]
-
-    def run(scope_entries: list[LexEntry], pn_g: Grammar, svc_g: Grammar) -> ClassifiedCounts:
-        index = build_index(scope_entries)
-        parts = []
-        for doc_id, text, tokens in token_cache:
-            tagged = tag(tokens, index, text, case_policy)
-            pn_matches = locate(flat_of(pn_g), tagged, policy)
-            svc_matches = locate(flat_of(svc_g), tagged, policy)
-            parts.append(classify_pn(pn_matches, svc_matches))
-        return combine(parts)
-
-    overall = run(entries, pn_grammar, svc_grammar)
-    rows: list[SubcatRow] = []
 
     def corrected(pn: int, svc: int) -> float | None:
         if correction is None or pn == 0:
@@ -130,11 +110,16 @@ def by_subcategory(docs: list[tuple[str, str]], entries: list[LexEntry],
         (p_pn, r_pn), (p_svc, r_svc) = correction
         return evaluation.corrected_proportion(pn, p_pn, r_pn, svc, p_svc, r_svc)
 
+    rows: list[SubcatRow] = []
     for subcat in subcats:
-        filtered = filter_subcategory(entries, subcat)
-        counts = run(filtered,
-                     pn_by_subcat.get(subcat, pn_grammar),
-                     svc_by_subcat.get(subcat, svc_grammar))
+        pn_g = pn_by_subcat.get(subcat, pn_flat)
+        svc_g = svc_by_subcat.get(subcat, svc_flat)
+        memo: dict = {}
+        parts = []
+        for _, tagged in tagged_docs:
+            view = restrict_tagging(tagged, index, subcat, case_policy, memo)
+            parts.append(classify_pn(locate(pn_g, view, policy), locate(svc_g, view, policy)))
+        counts = combine(parts)
         rows.append(SubcatRow(subcat, counts.pn_total,
                               _ratio(counts.pn_total, overall.pn_total),
                               counts.pn_with_sv,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import classify as classify_mod
 from . import evaluation, pipeline, reference
@@ -29,8 +30,7 @@ from .errors import (
     ZeroRecall,
 )
 from .inflect import expand_lexicon, load_lemma_entries, load_paradigms
-from .lexicon import build_index, serialize_entry
-from .rtn import flatten, locate
+from .lexicon import serialize_entry
 from .textproc import dump_tagged
 
 EXIT_OK = 0
@@ -62,9 +62,8 @@ def _config(args) -> pipeline.RunConfig:
 
 
 def _cmd_run(args) -> int:
-    cfg = _config(args)
-    result = pipeline.run_pipeline(cfg, args.out)
-    for path in result.written:
+    run = pipeline.run_pipeline(_config(args), args.out)
+    for path in run.written:
         print(path)
     return EXIT_OK
 
@@ -81,47 +80,28 @@ def _cmd_inflect(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    cfg = _config(args)
-    index = build_index(pipeline.build_entries(cfg))
+    index = pipeline.Run(_config(args)).index
     print(f"entries={index.num_entries}\tforms={index.num_forms}"
           f"\tanalyses={index.num_analyses}")
     return EXIT_OK
 
 
 def _cmd_tag(args) -> int:
-    cfg = _config(args)
-    index = build_index(pipeline.build_entries(cfg))
-    docs = pipeline.load_corpus(cfg)
+    run = pipeline.Run(_config(args))
     if args.doc:
-        docs = [(doc_id, text) for doc_id, text in docs if doc_id == args.doc]
-        if not docs:
+        # tag only the chosen document
+        run.docs = [(doc_id, text) for doc_id, text in run.docs if doc_id == args.doc]
+        if not run.docs:
             raise ConfigError(f"doc id {args.doc!r} not in corpus")
-    for doc_id, tagged in pipeline.tag_corpus(docs, index, cfg.case_policy):
+    for _, tagged in run.tagged_docs:
         sys.stdout.write(dump_tagged(tagged))
     return EXIT_OK
 
 
-def _grammar_of(cfg: pipeline.RunConfig, which: str):
-    grammars = pipeline.load_grammars(cfg)
-    return grammars.pn if which == "pn" else grammars.svc
-
-
-def _located(cfg: pipeline.RunConfig, which: str, policy: str | None):
-    entries = pipeline.build_entries(cfg)
-    index = build_index(entries)
-    docs = pipeline.load_corpus(cfg)
-    tagged_docs = pipeline.tag_corpus(docs, index, cfg.case_policy)
-    grammar = _grammar_of(cfg, which)
-    flat = flatten(grammar)
-    chosen = policy or cfg.policy
-    return tagged_docs, [(doc_id, locate(flat, tagged, chosen))
-                         for doc_id, tagged in tagged_docs]
-
-
 def _cmd_locate(args) -> int:
     cfg = _config(args)
-    _, located = _located(cfg, args.grammar, args.policy)
-    for doc_id, matches in located:
+    run = pipeline.Run(replace(cfg, policy=args.policy or cfg.policy))
+    for doc_id, matches in run.located(args.grammar):
         for m in matches:
             print(f"{doc_id}\t{m.start_byte}\t{m.end_byte}"
                   f"\t{m.start_token}\t{m.end_token}\t{m.grammar}")
@@ -129,28 +109,17 @@ def _cmd_locate(args) -> int:
 
 
 def _cmd_concord(args) -> int:
-    cfg = _config(args)
-    tagged_docs, located = _located(cfg, args.grammar, None)
-    lines = pipeline.concordance_for(located, tagged_docs, cfg.width)
-    lines = sort_concordance(lines, args.order)
-    sys.stdout.write(format_concordance(lines))
+    lines = pipeline.Run(_config(args)).lines(args.grammar)
+    sys.stdout.write(format_concordance(sort_concordance(lines, args.order)))
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
+    # the counts as classified, without the gold file's correction
     cfg = _config(args)
-    entries = pipeline.build_entries(cfg)
-    grammars = pipeline.load_grammars(cfg)
-    docs = pipeline.load_corpus(cfg)
-    rows = classify_mod.by_subcategory(
-        docs, entries, grammars.pn, grammars.svc, cfg.subcats,
-        pn_by_subcat=grammars.pn_by_subcat, svc_by_subcat=grammars.svc_by_subcat,
-        policy=cfg.policy, case_policy=cfg.case_policy)
-    overall = rows[-1]
-    counts = classify_mod.ClassifiedCounts(overall.pn, overall.svc_raw,
-                                           overall.svc, overall.pn - overall.svc)
+    run = pipeline.Run(replace(cfg, gold=None))
     sys.stdout.write(classify_mod.format_classification(
-        counts, rows, rounding=cfg.rounding))
+        run.counts, run.subcat_rows, rounding=cfg.rounding))
     return EXIT_OK
 
 
@@ -158,34 +127,16 @@ def _cmd_eval(args) -> int:
     cfg = _config(args)
     if not cfg.gold:
         raise ConfigError("config has no gold file")
-    result = pipeline.run_pipeline(cfg, args.out) if (args.write or args.out) \
-        else _eval_only(cfg)
-    sys.stdout.write(pipeline.format_metrics(result.metric_rows, cfg.rounding))
+    run = pipeline.run_pipeline(cfg, args.out) if (args.write or args.out) \
+        else pipeline.Run(cfg)
+    sys.stdout.write(pipeline.format_metrics(run.evaluation[0], cfg.rounding))
     return EXIT_OK
-
-
-def _eval_only(cfg: pipeline.RunConfig) -> pipeline.PipelineResult:
-    entries = pipeline.build_entries(cfg)
-    index = build_index(entries)
-    grammars = pipeline.load_grammars(cfg)
-    docs = pipeline.load_corpus(cfg)
-    tagged_docs = pipeline.tag_corpus(docs, index, cfg.case_policy)
-    pn_located = pipeline.locate_corpus(tagged_docs, grammars.pn, cfg.policy)
-    svc_located = pipeline.locate_corpus(tagged_docs, grammars.svc, cfg.policy)
-    pn_lines = pipeline.concordance_for(pn_located, tagged_docs, cfg.width)
-    svc_lines = pipeline.concordance_for(svc_located, tagged_docs, cfg.width)
-    by_doc = dict(pn_located)
-    counts = classify_mod.combine([
-        classify_mod.classify_pn(by_doc[doc_id], svc) for doc_id, svc in svc_located])
-    rows, _, corrected = pipeline._eval_stage(cfg, pn_lines, svc_lines, counts)
-    return pipeline.PipelineResult(counts, [], pn_lines, svc_lines, rows,
-                                   corrected, [])
 
 
 def _cmd_report(args) -> int:
     cfg = _config(args)
-    result = pipeline.run_pipeline(cfg, args.out)
-    counts = result.counts
+    run = pipeline.run_pipeline(cfg, args.out)
+    counts = run.counts
     print("pipeline report")
     print(f"  noun matches:          {counts.pn_total}")
     print(f"  verb-grammar matches:  {counts.svc_total}")
@@ -193,21 +144,21 @@ def _cmd_report(args) -> int:
     print(f"  without support verb:  {counts.pn_without_sv}")
     print(f"  proportion:            {evaluation.format_ratio(counts.proportion)}"
           f" ({evaluation.percent(counts.proportion, cfg.rounding)})")
-    if result.corrected_counts:
-        corr_pn, corr_svc = result.corrected_counts
+    if run.corrected_counts:
+        corr_pn, corr_svc = run.corrected_counts
         proportion = corr_svc / corr_pn if corr_pn else 0.0
         print(f"  corrected counts:      {corr_pn:.4f} / {corr_svc:.4f}")
         print(f"  corrected proportion:  {evaluation.format_ratio(proportion)}"
               f" ({evaluation.percent(proportion, cfg.rounding)})")
     print("  subcategories:")
-    for row in result.rows:
+    for row in run.subcat_rows:
         corrected = "-" if row.corrected_ratio is None \
             else evaluation.percent(row.corrected_ratio, cfg.rounding)
         print(f"    {row.subcat}\tpn={row.pn}\tsvc={row.svc}"
               f"\tratio={evaluation.percent(row.ratio_svc_pn, cfg.rounding)}"
               f"\tcorrected={corrected}")
     print("  report files:")
-    for path in result.written:
+    for path in run.written:
         print(f"    {path}")
     return EXIT_OK
 

@@ -258,15 +258,14 @@ class LexIndex:
     def forms(self) -> list[str]:
         """All indexed surface forms, sorted."""
         out: list[str] = []
-
-        def visit(node: dict, prefix: str) -> None:
-            for key in sorted(node):
-                if key == self._PAYLOAD:
-                    out.append(prefix)
-                else:
-                    visit(node[key], prefix + key)
-
-        visit(self._root, "")
+        stack = [(self._root, "")]
+        while stack:
+            node, prefix = stack.pop()
+            if self._PAYLOAD in node:
+                out.append(prefix)
+            for key in sorted(node, reverse=True):
+                if key != self._PAYLOAD:
+                    stack.append((node[key], prefix + key))
         return out
 
     def __contains__(self, form: str) -> bool:
@@ -277,7 +276,7 @@ def build_index(entries: list[LexEntry]) -> LexIndex:
     """Index a list of entries; identical analyses for a form deduplicate."""
     root: dict = {}
     num_analyses = 0
-    num_forms = 0
+    accepting: list[dict] = []
     for entry in entries:
         node = root
         for ch in entry.form:
@@ -286,47 +285,50 @@ def build_index(entries: list[LexEntry]) -> LexIndex:
         if payload is None:
             payload = set()
             node[LexIndex._PAYLOAD] = payload
-            num_forms += 1
+            accepting.append(node)
         for analysis in entry.analyses():
             if analysis not in payload:
                 payload.add(analysis)
                 num_analyses += 1
-
-    def freeze(node: dict) -> None:
-        payload = node.get(LexIndex._PAYLOAD)
-        if payload is not None:
-            node[LexIndex._PAYLOAD] = frozenset(payload)
-        for key, child in node.items():
-            if key != LexIndex._PAYLOAD:
-                freeze(child)
-
-    freeze(root)
-    return LexIndex(root, len(entries), num_forms, num_analyses)
+    for node in accepting:
+        node[LexIndex._PAYLOAD] = frozenset(node[LexIndex._PAYLOAD])
+    return LexIndex(root, len(entries), len(accepting), num_analyses)
 
 
-def lookup(index: LexIndex, form: str, case_policy: str = CASE_EXACT) -> frozenset[Analysis]:
+def in_subcategory(features, subcat: str) -> bool:
+    """The subcategory keep-rule for an entry's or an analysis's features:
+    a predicative noun (PN) stays only when it carries ``subcat``."""
+    return PN_FEATURE not in features or subcat in features
+
+
+def subcategory_analyses(analyses: frozenset[Analysis], subcat: str) -> frozenset[Analysis]:
+    """The analyses that ``in_subcategory`` keeps."""
+    return frozenset(a for a in analyses if in_subcategory(a.sem_features, subcat))
+
+
+def lookup(index: LexIndex, form: str, case_policy: str = CASE_EXACT,
+           subcat: str | None = None) -> frozenset[Analysis]:
     """All analyses of a form; ambiguity is never pruned.
 
     Under the sentence-initial-fold policy an empty exact result retries
     with the first character lowercased, and nothing else is merged in.
-    Unknown forms yield the empty set.
+    Unknown forms yield the empty set.  With ``subcat``, the result is the
+    lookup in an index of ``filter_subcategory(entries, subcat)``.
     """
     if not form:
         raise ValueError("lookup of an empty form")
     if case_policy not in CASE_POLICIES:
         raise ValueError(f"unknown case policy {case_policy!r}")
     found = index._walk(form)
-    if found or case_policy == CASE_EXACT:
+    if subcat is not None:
+        found = subcategory_analyses(found, subcat)
+    if found or case_policy == CASE_EXACT or not form[0].isupper():
         return found
-    first = form[0]
-    if first.isupper():
-        return index._walk(first.lower() + form[1:])
-    return found
+    return lookup(index, form[0].lower() + form[1:], CASE_EXACT, subcat)
 
 
 def filter_subcategory(entries: list[LexEntry], subcat: str) -> list[LexEntry]:
-    """Keep PN entries of one subcategory; non-PN entries always stay."""
+    """The entries ``in_subcategory`` keeps."""
     if subcat not in SUBCATEGORIES:
         raise ValueError(f"unknown subcategory {subcat!r}")
-    return [e for e in entries
-            if not e.is_pn or subcat in e.sem_features]
+    return [e for e in entries if in_subcategory(e.sem_features, subcat)]

@@ -35,6 +35,7 @@ from __future__ import annotations
 import glob as globmod
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import classify as classify_mod
 from . import evaluation
@@ -50,7 +51,7 @@ from .lexicon import (
     build_index,
     load_lexicon,
 )
-from .rtn import POLICIES, Grammar, Match, flatten, load_grammar, locate
+from .rtn import POLICIES, Grammar, Graph, Match, flatten, load_grammar, locate
 from .textproc import TaggedText, read_text, tag, tokenize
 
 _LIST_KEYS = {"lexicon", "lemmas", "paradigms", "pn_grammar", "svc_grammar",
@@ -198,10 +199,13 @@ def build_entries(cfg: RunConfig) -> list[LexEntry]:
 
 @dataclass
 class GrammarSet:
-    pn: Grammar
-    svc: Grammar
-    pn_by_subcat: dict[str, Grammar]
-    svc_by_subcat: dict[str, Grammar]
+    """The main noun and verb grammars and the per-subcategory overrides,
+    loaded or flattened."""
+
+    pn: Grammar | Graph
+    svc: Grammar | Graph
+    pn_by_subcat: dict[str, Grammar | Graph]
+    svc_by_subcat: dict[str, Grammar | Graph]
 
 
 def load_grammars(cfg: RunConfig) -> GrammarSet:
@@ -226,28 +230,6 @@ def load_corpus(cfg: RunConfig) -> list[tuple[str, str]]:
     return docs
 
 
-def tag_corpus(docs: list[tuple[str, str]], index: LexIndex,
-               case_policy: str = CASE_FOLD) -> list[tuple[str, TaggedText]]:
-    return [(doc_id, tag(tokenize(text), index, text, case_policy))
-            for doc_id, text in docs]
-
-
-def locate_corpus(tagged_docs: list[tuple[str, TaggedText]], grammar: Grammar,
-                  policy: str = "longest") -> list[tuple[str, list[Match]]]:
-    flat = flatten(grammar)
-    return [(doc_id, locate(flat, tagged, policy)) for doc_id, tagged in tagged_docs]
-
-
-def concordance_for(located: list[tuple[str, list[Match]]],
-                    tagged_docs: list[tuple[str, TaggedText]],
-                    width: int) -> list[ConcordanceLine]:
-    tagged_by_doc = dict(tagged_docs)
-    lines: list[ConcordanceLine] = []
-    for doc_id, matches in located:
-        lines.extend(build_concordance(matches, tagged_by_doc[doc_id], width, doc_id))
-    return sort_concordance(lines, "text")
-
-
 @dataclass
 class MetricRow:
     section: str
@@ -260,23 +242,18 @@ class MetricRow:
     extra: str = ""
 
 
-@dataclass
-class PipelineResult:
-    counts: classify_mod.ClassifiedCounts
-    rows: list[classify_mod.SubcatRow]
-    pn_lines: list[ConcordanceLine]
-    svc_lines: list[ConcordanceLine]
-    metric_rows: list[MetricRow]
-    corrected_counts: tuple[float, float] | None
-    written: list[str]
+Correction = tuple[tuple[float, float], tuple[float, float]]
 
 
 def _eval_stage(cfg: RunConfig, pn_lines: list[ConcordanceLine],
                 svc_lines: list[ConcordanceLine],
-                counts: classify_mod.ClassifiedCounts):
+                counts: classify_mod.ClassifiedCounts
+                ) -> tuple[list[MetricRow], Correction | None]:
     """Per-annotator metrics, averages, and the count corrections.
 
-    Returns (metric rows, averaged (p, r) per label, corrected counts).
+    Returns the metric rows and the correction pair ((p_pn, r_pn),
+    (p_svc, r_svc)) of averaged precision and recall, or None unless both
+    labels were averaged with a recall above zero.
     """
     gold = evaluation.load_gold(cfg.gold)
     if cfg.eval_docs:
@@ -312,21 +289,14 @@ def _eval_stage(cfg: RunConfig, pn_lines: list[ConcordanceLine],
         rows.append(MetricRow("recall", label, "average", "-", "-", "-", r_avg))
         rows.append(MetricRow("precision", label, "average", "-", "-", "-", p_avg))
         averaged[label] = (p_avg, r_avg)
-    corrected = None
-    if "PN" in averaged and "SVC" in averaged and averaged["PN"][1] > 0 \
-            and averaged["SVC"][1] > 0:
-        p_pn, r_pn = averaged["PN"]
-        p_svc, r_svc = averaged["SVC"]
-        corr_pn = evaluation.bias_correct(counts.pn_total, p_pn, r_pn)
-        corr_svc = evaluation.bias_correct(counts.pn_with_sv, p_svc, r_svc)
-        rows.append(MetricRow("correction", "PN", "-", str(counts.pn_total),
-                              "-", "-", corr_pn,
-                              f"p={p_pn:.4f} r={r_pn:.4f}"))
-        rows.append(MetricRow("correction", "SVC", "-", str(counts.pn_with_sv),
-                              "-", "-", corr_svc,
-                              f"p={p_svc:.4f} r={r_svc:.4f}"))
-        corrected = (corr_pn, corr_svc)
-    return rows, averaged, corrected
+    if not ("PN" in averaged and "SVC" in averaged and averaged["PN"][1] > 0
+            and averaged["SVC"][1] > 0):
+        return rows, None
+    for label, n in (("PN", counts.pn_total), ("SVC", counts.pn_with_sv)):
+        p, r = averaged[label]
+        rows.append(MetricRow("correction", label, "-", str(n), "-", "-",
+                              evaluation.bias_correct(n, p, r), f"p={p:.4f} r={r:.4f}"))
+    return rows, (averaged["PN"], averaged["SVC"])
 
 
 def format_metrics(rows: list[MetricRow], rounding: str = "half-up") -> str:
@@ -344,54 +314,116 @@ def format_metrics(rows: list[MetricRow], rounding: str = "half-up") -> str:
     return "\n".join(out) + "\n"
 
 
-def run_pipeline(cfg: RunConfig, out_dir: str | None = None) -> PipelineResult:
+class Run:
+    """One pipeline run over a config, shared by every subcommand.
+
+    Each stage is computed on first use and kept, so a subcommand pays
+    only for the stages it reads and none runs twice.  Documents are
+    tokenized and tagged once; ``located`` and ``lines`` take the main
+    grammar, "pn" or "svc".
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.written: list[str] = []
+        self._per_grammar: dict[tuple[str, str], list] = {}
+
+    @cached_property
+    def entries(self) -> list[LexEntry]:
+        return build_entries(self.cfg)
+
+    @cached_property
+    def index(self) -> LexIndex:
+        return build_index(self.entries)
+
+    @cached_property
+    def grammars(self) -> GrammarSet:
+        return load_grammars(self.cfg)
+
+    @cached_property
+    def flats(self) -> GrammarSet:
+        g = self.grammars
+        return GrammarSet(flatten(g.pn), flatten(g.svc),
+                          {sc: flatten(x) for sc, x in g.pn_by_subcat.items()},
+                          {sc: flatten(x) for sc, x in g.svc_by_subcat.items()})
+
+    @cached_property
+    def docs(self) -> list[tuple[str, str]]:
+        return load_corpus(self.cfg)
+
+    @cached_property
+    def tagged_docs(self) -> list[tuple[str, TaggedText]]:
+        return [(doc_id, tag(tokenize(text), self.index, text, self.cfg.case_policy))
+                for doc_id, text in self.docs]
+
+    def located(self, which: str) -> list[tuple[str, list[Match]]]:
+        key = ("located", which)
+        if key not in self._per_grammar:
+            tagged_docs, flat = self.tagged_docs, getattr(self.flats, which)
+            self._per_grammar[key] = [(doc_id, locate(flat, tagged, self.cfg.policy))
+                                      for doc_id, tagged in tagged_docs]
+        return self._per_grammar[key]
+
+    def lines(self, which: str) -> list[ConcordanceLine]:
+        """Concordance lines of ``located(which)``, in text order."""
+        key = ("lines", which)
+        if key not in self._per_grammar:
+            lines: list[ConcordanceLine] = []
+            for (doc_id, matches), (_, tagged) in zip(self.located(which), self.tagged_docs):
+                lines.extend(build_concordance(matches, tagged, self.cfg.width, doc_id))
+            self._per_grammar[key] = sort_concordance(lines, "text")
+        return self._per_grammar[key]
+
+    @cached_property
+    def counts(self) -> classify_mod.ClassifiedCounts:
+        return classify_mod.combine([
+            classify_mod.classify_pn(pn, svc)
+            for (_, pn), (_, svc) in zip(self.located("pn"), self.located("svc"))])
+
+    @cached_property
+    def evaluation(self) -> tuple[list[MetricRow], Correction | None]:
+        """Metric rows and correction pair (see ``_eval_stage``); without a
+        gold file, no rows and no correction."""
+        if not self.cfg.gold:
+            return [], None
+        return _eval_stage(self.cfg, self.lines("pn"), self.lines("svc"), self.counts)
+
+    @property
+    def corrected_counts(self) -> tuple[float, float] | None:
+        """The corrected (noun, with-support-verb) counts of the metric rows."""
+        return tuple(r.value for r in self.evaluation[0] if r.section == "correction") or None
+
+    @cached_property
+    def subcat_rows(self) -> list[classify_mod.SubcatRow]:
+        flats = self.flats
+        return classify_mod.by_subcategory(
+            self.tagged_docs, self.counts, self.index, flats.pn, flats.svc, self.cfg.subcats,
+            pn_by_subcat=flats.pn_by_subcat, svc_by_subcat=flats.svc_by_subcat,
+            policy=self.cfg.policy, case_policy=self.cfg.case_policy,
+            correction=self.evaluation[1])
+
+    def write(self, out: str) -> None:
+        """Write the report files into ``out`` and list them in ``written``.
+        Every stage runs first, so a failing stage leaves no partial output."""
+        payloads = {
+            "pn_concordance.tsv": format_concordance(self.lines("pn")),
+            "svc_concordance.tsv": format_concordance(self.lines("svc")),
+            "classification.tsv": classify_mod.format_classification(
+                self.counts, self.subcat_rows, rounding=self.cfg.rounding,
+                corrected_counts=self.corrected_counts),
+        }
+        if self.cfg.gold:
+            payloads["metrics.tsv"] = format_metrics(self.evaluation[0], self.cfg.rounding)
+        os.makedirs(out, exist_ok=True)
+        for name, payload in payloads.items():
+            path = os.path.join(out, name)
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(payload)
+            self.written.append(path)
+
+
+def run_pipeline(cfg: RunConfig, out_dir: str | None = None) -> Run:
     """Execute every stage and write the report files."""
-    out = out_dir or cfg.out
-    entries = build_entries(cfg)
-    index = build_index(entries)
-    grammars = load_grammars(cfg)
-    docs = load_corpus(cfg)
-    tagged_docs = tag_corpus(docs, index, cfg.case_policy)
-
-    pn_located = locate_corpus(tagged_docs, grammars.pn, cfg.policy)
-    svc_located = locate_corpus(tagged_docs, grammars.svc, cfg.policy)
-    pn_lines = concordance_for(pn_located, tagged_docs, cfg.width)
-    svc_lines = concordance_for(svc_located, tagged_docs, cfg.width)
-
-    located_by_doc = {doc_id: matches for doc_id, matches in pn_located}
-    counts = classify_mod.combine([
-        classify_mod.classify_pn(located_by_doc[doc_id], svc_matches)
-        for doc_id, svc_matches in svc_located])
-
-    metric_rows: list[MetricRow] = []
-    corrected = None
-    correction = None
-    if cfg.gold:
-        metric_rows, averaged, corrected = _eval_stage(cfg, pn_lines, svc_lines, counts)
-        if "PN" in averaged and "SVC" in averaged and averaged["PN"][1] > 0 \
-                and averaged["SVC"][1] > 0:
-            correction = (averaged["PN"], averaged["SVC"])
-
-    rows = classify_mod.by_subcategory(
-        docs, entries, grammars.pn, grammars.svc, cfg.subcats,
-        pn_by_subcat=grammars.pn_by_subcat, svc_by_subcat=grammars.svc_by_subcat,
-        policy=cfg.policy, case_policy=cfg.case_policy, correction=correction)
-
-    written: list[str] = []
-    os.makedirs(out, exist_ok=True)
-
-    def emit(name: str, payload: str) -> None:
-        path = os.path.join(out, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(payload)
-        written.append(path)
-
-    emit("pn_concordance.tsv", format_concordance(pn_lines))
-    emit("svc_concordance.tsv", format_concordance(svc_lines))
-    emit("classification.tsv",
-         classify_mod.format_classification(counts, rows, rounding=cfg.rounding,
-                                            corrected_counts=corrected))
-    if cfg.gold:
-        emit("metrics.tsv", format_metrics(metric_rows, cfg.rounding))
-    return PipelineResult(counts, rows, pn_lines, svc_lines, metric_rows,
-                          corrected, written)
+    run = Run(cfg)
+    run.write(out_dir or cfg.out)
+    return run

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import EmptyInput, InvalidEncoding
-from .lexicon import CASE_EXACT, CASE_FOLD, Analysis, LexIndex, lookup
+from .lexicon import CASE_EXACT, CASE_FOLD, Analysis, LexIndex, lookup, subcategory_analyses
 
 WORD = "word"
 PUNCT = "punct"
@@ -174,18 +174,14 @@ def tokenize(text: str) -> list[Token]:
     surfaces = [text[cs:ce] for cs, ce, _ in raws]
     starts = _sentence_starts(text.encode("utf-8"), spans, surfaces)
 
-    bounds = sorted(starts)
+    # the first word token of every sentence is sentence-initial
     tokens: list[Token] = []
-    sentence_starts = [0] + bounds
-    initial_at: set[int] = set()
-    for opens in sentence_starts:
-        limit = next((b for b in bounds if b > opens), len(raws))
-        for idx in range(opens, limit):
-            if raws[idx][2] == WORD:
-                initial_at.add(idx)
-                break
+    awaiting = True
     for idx, ((start, end, kind), surface) in enumerate(zip(spans, surfaces)):
-        tokens.append(Token(surface, start, end, kind, idx in initial_at))
+        awaiting = awaiting or idx in starts
+        initial = awaiting and kind == WORD
+        awaiting = awaiting and not initial
+        tokens.append(Token(surface, start, end, kind, initial))
     return tokens
 
 
@@ -229,6 +225,39 @@ def tag(tokens: list[Token], index: LexIndex, source: str,
     surfaces = [t.surface for t in tokens]
     starts = _sentence_starts(source.encode("utf-8"), spans, surfaces)
     return TaggedText(tagged, source, tuple(sorted(starts)))
+
+
+def restrict_tagging(tagged: TaggedText, index: LexIndex, subcat: str,
+                     case_policy: str = CASE_FOLD,
+                     memo: dict | None = None) -> TaggedText:
+    """``tagged`` as tagged against ``filter_subcategory(entries, subcat)``,
+    where ``index`` holds all the entries and tagged it.
+
+    Each token keeps the analyses ``in_subcategory`` keeps; a sentence-initial
+    word left with none is looked up again (the fold policy retries its
+    lowercased form), and a word still without any becomes UNKNOWN.  Equal
+    restricted sets are one object, so the matcher's memos hit by identity;
+    ``memo`` carries them across the documents of one subcategory.
+    """
+    memo = {} if memo is None else memo
+
+    def kept(analyses: frozenset[Analysis]) -> frozenset[Analysis]:
+        found = memo.get(analyses)
+        if found is None:
+            own = subcategory_analyses(analyses, subcat)
+            # a restricted set restricts to itself, so one memo also interns
+            found = memo.setdefault(own, analyses if own == analyses else own)
+            memo[analyses] = found
+        return found
+
+    tokens: list[TaggedToken] = []
+    for tt in tagged.tokens:
+        found = kept(tt.analyses)
+        if not found and tt.token.sentence_initial:
+            found = kept(lookup(index, tt.token.surface, case_policy, subcat))
+        tokens.append(tt if found is tt.analyses
+                      else TaggedToken(tt.token, found or UNKNOWN_ANALYSES))
+    return TaggedText(tokens, tagged.source, tagged.boundaries)
 
 
 def tagging_coverage(tagged: TaggedText) -> float:

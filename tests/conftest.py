@@ -6,7 +6,6 @@ import os
 import pytest
 
 from lexgram import pipeline
-from lexgram.lexicon import build_index
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO, "fixtures")
@@ -22,28 +21,42 @@ def run_config():
 
 
 @pytest.fixture(scope="session")
-def entries(run_config):
-    return pipeline.build_entries(run_config)
+def fixture_run(run_config):
+    return pipeline.Run(run_config)
 
 
 @pytest.fixture(scope="session")
-def index(entries):
-    return build_index(entries)
+def entries(fixture_run):
+    return fixture_run.entries
 
 
 @pytest.fixture(scope="session")
-def corpus_docs(run_config):
-    return pipeline.load_corpus(run_config)
+def index(fixture_run):
+    return fixture_run.index
 
 
 @pytest.fixture(scope="session")
-def tagged_docs(run_config, corpus_docs, index):
-    return pipeline.tag_corpus(corpus_docs, index, run_config.case_policy)
+def corpus_docs(fixture_run):
+    return fixture_run.docs
 
 
 @pytest.fixture(scope="session")
-def grammars(run_config):
-    return pipeline.load_grammars(run_config)
+def tagged_docs(fixture_run):
+    return fixture_run.tagged_docs
+
+
+@pytest.fixture(scope="session")
+def grammars(fixture_run):
+    return fixture_run.grammars
+
+
+@pytest.fixture(scope="session")
+def subcat_inputs(fixture_run):
+    """The leading arguments of ``by_subcategory`` for the fixture run,
+    and the flattened grammar set."""
+    flats = fixture_run.flats
+    return (fixture_run.tagged_docs, fixture_run.counts, fixture_run.index,
+            flats.pn, flats.svc), flats
 
 
 @pytest.fixture(scope="session")

@@ -160,8 +160,7 @@ def parse_ledger():
     return rows
 
 
-def test_criterion_5_fixture_ledger(run_config, corpus_docs, entries, grammars,
-                                    tmp_path):
+def test_criterion_5_fixture_ledger(run_config, subcat_inputs, tmp_path):
     """Pipeline counts equal the hand-derived ledger committed with the
     bundled corpus.  The reference corpus-level percentages are out of
     reach at this scale by construction; the ledger is the authority."""
@@ -173,9 +172,10 @@ def test_criterion_5_fixture_ledger(run_config, corpus_docs, entries, grammars,
     assert (counts.pn_total, counts.svc_total, counts.pn_with_sv,
             counts.pn_without_sv) == ledger["all"]
 
-    rows = by_subcategory(corpus_docs, entries, grammars.pn, grammars.svc,
-                          pn_by_subcat=grammars.pn_by_subcat,
-                          svc_by_subcat=grammars.svc_by_subcat,
+    args, flats = subcat_inputs
+    rows = by_subcategory(*args,
+                          pn_by_subcat=flats.pn_by_subcat,
+                          svc_by_subcat=flats.svc_by_subcat,
                           policy=run_config.policy,
                           case_policy=run_config.case_policy)
     for row in rows:

@@ -75,10 +75,10 @@ def test_fixture_corpus_hand_counts(tagged_docs, grammars):
     assert counts.proportion == pytest.approx(0.25)
 
 
-def test_by_subcategory_rows(corpus_docs, entries, grammars):
-    rows = by_subcategory(corpus_docs, entries, grammars.pn, grammars.svc,
-                          pn_by_subcat=grammars.pn_by_subcat,
-                          svc_by_subcat=grammars.svc_by_subcat)
+def test_by_subcategory_rows(subcat_inputs):
+    args, flats = subcat_inputs
+    rows = by_subcategory(*args, pn_by_subcat=flats.pn_by_subcat,
+                          svc_by_subcat=flats.svc_by_subcat)
     by_name = {r.subcat: r for r in rows}
     assert [r.subcat for r in rows] == ["NCA", "NCF", "CV", "all"]
     assert (by_name["NCA"].pn, by_name["NCA"].svc, by_name["NCA"].svc_raw) == (3, 1, 2)
@@ -88,22 +88,22 @@ def test_by_subcategory_rows(corpus_docs, entries, grammars):
     assert by_name["all"].pn_pct == 1.0 and by_name["all"].svc_pct == 1.0
 
 
-def test_homograph_counted_in_both_rows(corpus_docs, entries, grammars):
+def test_homograph_counted_in_both_rows(subcat_inputs):
     # the pêche occurrence of doc1 appears under NCF and under CV
-    rows = by_subcategory(corpus_docs, entries, grammars.pn, grammars.svc,
-                          pn_by_subcat=grammars.pn_by_subcat,
-                          svc_by_subcat=grammars.svc_by_subcat)
+    args, flats = subcat_inputs
+    rows = by_subcategory(*args, pn_by_subcat=flats.pn_by_subcat,
+                          svc_by_subcat=flats.svc_by_subcat)
     per_subcat = sum(r.pn for r in rows if r.subcat != "all")
     total = next(r.pn for r in rows if r.subcat == "all")
     assert per_subcat == total + 1  # exactly one homograph occurrence
 
 
-def test_by_subcategory_without_dedicated_grammars(corpus_docs, entries, grammars):
+def test_by_subcategory_without_dedicated_grammars(subcat_inputs):
     # filtering the lexicon alone must agree with the dedicated grammars
-    rows_plain = by_subcategory(corpus_docs, entries, grammars.pn, grammars.svc)
-    rows_dedicated = by_subcategory(corpus_docs, entries, grammars.pn, grammars.svc,
-                                    pn_by_subcat=grammars.pn_by_subcat,
-                                    svc_by_subcat=grammars.svc_by_subcat)
+    args, flats = subcat_inputs
+    rows_plain = by_subcategory(*args)
+    rows_dedicated = by_subcategory(*args, pn_by_subcat=flats.pn_by_subcat,
+                                    svc_by_subcat=flats.svc_by_subcat)
     for plain, dedicated in zip(rows_plain, rows_dedicated):
         assert (plain.pn, plain.svc, plain.svc_raw) == \
             (dedicated.pn, dedicated.svc, dedicated.svc_raw)
@@ -121,18 +121,18 @@ def test_corrected_ratio_reference_arithmetic(corpus_docs, entries, grammars):
     assert percent(ratio) == "10%"
 
 
-def test_by_subcategory_with_correction(corpus_docs, entries, grammars):
-    rows = by_subcategory(corpus_docs, entries, grammars.pn, grammars.svc,
-                          correction=((0.68, 0.78), (0.74, 0.38)))
+def test_by_subcategory_with_correction(subcat_inputs):
+    args, _ = subcat_inputs
+    rows = by_subcategory(*args, correction=((0.68, 0.78), (0.74, 0.38)))
     all_row = next(r for r in rows if r.subcat == "all")
     # 3 * .74 / .38 over 12 * .68 / .78
     assert all_row.corrected_ratio == pytest.approx((3 * 0.74 / 0.38) / (12 * 0.68 / 0.78))
 
 
-def test_format_classification_layout(corpus_docs, entries, grammars):
-    rows = by_subcategory(corpus_docs, entries, grammars.pn, grammars.svc,
-                          pn_by_subcat=grammars.pn_by_subcat,
-                          svc_by_subcat=grammars.svc_by_subcat)
+def test_format_classification_layout(subcat_inputs):
+    args, flats = subcat_inputs
+    rows = by_subcategory(*args, pn_by_subcat=flats.pn_by_subcat,
+                          svc_by_subcat=flats.svc_by_subcat)
     counts = ClassifiedCounts(12, 4, 3, 9)
     payload = format_classification(counts, rows)
     lines = payload.strip().split("\n")

@@ -248,3 +248,16 @@ def test_eval_without_gold_is_config_error(tmp_path, capsys):
                    .replace("corpus/", fixture_path("corpus") + "/"))
     code, _, err = run_cli(capsys, "eval", "-c", str(cfg))
     assert code == 2
+
+
+def test_index_on_long_surface_form(tmp_path, capsys):
+    lexicon = tmp_path / "long.dic"
+    lexicon.write_text("a" * 3000 + ",x.N\n", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"lexicon = {lexicon}\n"
+                   f"pn_grammar = {fixture_path('grammars', 'pn.grm')}\n"
+                   f"svc_grammar = {fixture_path('grammars', 'svc.grm')}\n"
+                   f"corpus = {fixture_path('corpus', '*.txt')}\n")
+    code, out, _ = run_cli(capsys, "index", "-c", str(cfg))
+    assert code == 0
+    assert out == "entries=1\tforms=1\tanalyses=1\n"

@@ -247,3 +247,10 @@ def test_analysis_render():
 def test_analysis_sv_link_requires_pn():
     with pytest.raises(MalformedEntry):
         Analysis("chat", "N", frozenset({"SV=avoir"}), "ms")
+
+
+def test_long_surface_form_indexes_and_lists():
+    form = "a" * 3000
+    index = build_index([LexEntry(form, "x", "N")])
+    assert index.forms() == [form]
+    assert form in index

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from lexgram.classify import classify_pn
 from lexgram.concord import ConcordanceLine, build_concordance, sort_concordance
 from lexgram.evaluation import bias_correct
-from lexgram.lexicon import build_index, parse_entry
+from lexgram.lexicon import (CASE_POLICIES, SUBCATEGORIES, LexEntry, build_index,
+                             filter_subcategory, parse_entry)
 from lexgram.rtn import (EPSILON, Grammar, Graph, Literal, Mask, Match, locate,
                          locate_recursive, span_accepts)
-from lexgram.textproc import tag, tokenize
+from lexgram.textproc import restrict_tagging, tag, tokenize
 
 CASES = 1000
 
@@ -105,6 +106,52 @@ def test_compiled_matcher_equals_reference(rng):
         assert direct == reference, policy
     for m in locate(graph, tagged, "all"):
         assert span_accepts(graph, tagged, m.start_token, m.end_token, m.bindings)
+
+
+# surfaces of fixture entries, with capitalized variants, and a non-word
+_SUBCAT_FORMS = ["pêche", "vol", "débat", "attention", "avis", "données", "le", "zzz"]
+_TEXT_PIECES = (_SUBCAT_FORMS + [f.capitalize() for f in _SUBCAT_FORMS]
+                + [".", ".", ",", "«", "12"])
+
+
+@st.composite
+def subcat_entries(draw):
+    """Extra entries over fixture surfaces or their capitalized variants:
+    plain nouns, or PN homographs with a random subset of subcategories."""
+    extra = []
+    for _ in range(draw(st.integers(0, 8))):
+        form = draw(st.sampled_from(_SUBCAT_FORMS))
+        if draw(st.booleans()):
+            form = form.capitalize()
+        feats: tuple[str, ...] = ()
+        if draw(st.booleans()):
+            feats = ("PN",) + tuple(sorted(draw(st.sets(st.sampled_from(SUBCATEGORIES)))))
+        extra.append(LexEntry(form, draw(st.sampled_from(["a", "b"])), "N", feats,
+                              (draw(st.sampled_from(["ms", "fs"])),)))
+    return extra
+
+
+@settings(max_examples=200, deadline=None)
+@given(extra=subcat_entries(),
+       pieces=st.lists(st.sampled_from(_TEXT_PIECES), max_size=20))
+def test_restricted_tagging_equals_filtered_lexicon(entries, extra, pieces):
+    """Restricting the full tagging to a subcategory equals tagging against
+    the lexicon filtered to that subcategory, token by token."""
+    lexicon = entries + extra
+    text = " ".join(pieces)
+    tokens = tokenize(text)
+    full = build_index(lexicon)
+    for subcat in SUBCATEGORIES:
+        scoped = build_index(filter_subcategory(lexicon, subcat))
+        for policy in CASE_POLICIES:
+            view = restrict_tagging(tag(tokens, full, text, policy), full, subcat, policy)
+            expected = tag(tokens, scoped, text, policy)
+            assert [(t.token, t.analyses) for t in view.tokens] == \
+                [(t.token, t.analyses) for t in expected.tokens], (subcat, policy)
+            assert view.boundaries == expected.boundaries
+            # equal analysis sets are one object, for the matcher's memos
+            assert len({id(t.analyses) for t in view.tokens}) == \
+                len({t.analyses for t in view.tokens})
 
 
 def test_match_line_bijection_randomized():

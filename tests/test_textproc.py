@@ -66,6 +66,15 @@ def test_sentence_boundary_and_initial_flags():
     assert initials == ["Ce", "Les"]
 
 
+def test_initial_word_after_opening_quote_or_number():
+    # the first sentence opens with a punctuation or number token, so its
+    # initial word is not its first token
+    tokens = tokenize("« Marie dort. Paul mange.")
+    assert [t.surface for t in tokens if t.sentence_initial] == ["Marie", "Paul"]
+    tokens = tokenize("12 chats dorment. Les chiens aussi.")
+    assert [t.surface for t in tokens if t.sentence_initial] == ["chats", "Les"]
+
+
 def test_no_boundary_without_uppercase():
     tokens = tokenize("M. le débat continue")
     assert [t.surface for t in tokens if t.sentence_initial] == ["M"]
