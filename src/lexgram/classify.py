@@ -4,7 +4,9 @@ A noun-grammar match counts as accompanied by its support verb when some
 verb-grammar match span contains it (token containment inside one
 sentence; verb matches never cross sentence boundaries, so containment
 implies the same sentence).  A match contained in several verb spans
-still counts once: the statistics are per occurrence.
+still counts once: the statistics are per occurrence.  Containment is
+decided per document with one bisection per noun match into the verb
+spans sorted by start token.
 
 Each per-subcategory row locates that subcategory's grammars over the
 tagged corpus restricted to the subcategory (``textproc.restrict_tagging``).
@@ -13,7 +15,9 @@ subcategory counts may sum above the global row.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import evaluation
 from .errors import LexgramError
@@ -45,11 +49,21 @@ class ClassifiedCounts:
 
 
 def classify_pn(pn_matches: list[Match], svc_matches: list[Match]) -> ClassifiedCounts:
-    """Split noun matches over one tagged text by support-verb presence."""
-    svc_spans = [(m.start_token, m.end_token) for m in svc_matches]
+    """Split noun matches over one tagged text by support-verb presence.
+
+    Verb spans are sorted by start token with a running maximum of their
+    end tokens: a noun match is contained in some verb span exactly when
+    the largest end among the spans starting at or before it reaches its
+    end, so each noun match costs one bisection.  The order among verb
+    spans with equal starts does not matter: the maximum covers them all.
+    """
+    svc_spans = sorted((m.start_token, m.end_token) for m in svc_matches)
+    starts = [s for s, _ in svc_spans]
+    reach = list(accumulate((e for _, e in svc_spans), max))
     with_sv = 0
     for pn in pn_matches:
-        if any(s <= pn.start_token and pn.end_token <= e for s, e in svc_spans):
+        at = bisect_right(starts, pn.start_token)
+        if at and reach[at - 1] >= pn.end_token:
             with_sv += 1
     return ClassifiedCounts(len(pn_matches), len(svc_matches), with_sv,
                             len(pn_matches) - with_sv)

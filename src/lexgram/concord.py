@@ -22,18 +22,36 @@ class ConcordanceLine:
         return (self.doc_id, self.match.start_byte)
 
 
+def _lead(blob: bytes, at: int, step: int) -> int:
+    """``at`` moved by ``step`` (-1 or 1) until it sits on a UTF-8 lead byte
+    or an end of ``blob``."""
+    while 0 < at < len(blob) and blob[at] & 0xC0 == 0x80:
+        at += step
+    return at
+
+
 def build_concordance(matches: list[Match], tagged: TaggedText,
                       width: int, doc_id: str) -> list[ConcordanceLine]:
     """One line per match; contexts hold at most ``width`` characters and
-    token offsets keep context slicing on UTF-8 scalar boundaries."""
+    token offsets keep context slicing on UTF-8 scalar boundaries.
+
+    A character takes at most 4 bytes, so each context is decoded from a
+    window of ``4 * width`` bytes beside the match, widened to whole
+    characters, and then trimmed to ``width`` characters.
+    """
     if width < 0:
         raise ValueError("negative context width")
     blob = tagged.source_bytes()
+    reach = 4 * width
     lines = []
     for m in matches:
         center = blob[m.start_byte:m.end_byte].decode("utf-8")
-        left = blob[:m.start_byte].decode("utf-8")[-width:] if width else ""
-        right = blob[m.end_byte:].decode("utf-8")[:width] if width else ""
+        left = right = ""
+        if width:
+            lo = _lead(blob, max(0, m.start_byte - reach), -1)
+            hi = _lead(blob, min(len(blob), m.end_byte + reach), 1)
+            left = blob[lo:m.start_byte].decode("utf-8")[-width:]
+            right = blob[m.end_byte:hi].decode("utf-8")[:width]
         lines.append(ConcordanceLine(m, left, center, right, doc_id))
     return lines
 

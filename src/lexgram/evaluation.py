@@ -8,7 +8,11 @@ where label is PN or SVC.  Alignment between system concordance lines and
 gold spans is greedy one-to-one in text order over candidate pairs, a
 line matching a span when their byte ranges overlap (or are equal, under
 the exact criterion).  Processing candidate pairs in a symmetric text
-order keeps the matched count invariant under swapping system and gold.
+order keeps the matched count invariant under swapping system and gold;
+pairs with equal order keys go in (system index, gold index) order.
+Only spans of the same document are paired, and each document's gold
+spans are sorted by start byte once, so a system line visits only the
+gold spans that can hit it.
 
 The correction extrapolates a raw occurrence count with measured
 precision and recall: corrected = n * p / r.  All ratios stay unrounded
@@ -17,6 +21,7 @@ percents by default.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 
@@ -94,8 +99,18 @@ def load_gold(path: str) -> list[GoldSpan]:
     return spans
 
 
-def _overlaps(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
-    return a_start < b_end and b_start < a_end
+def _gold_by_doc(gold: list[GoldSpan]) -> dict[str, tuple[list[int], list[int], int]]:
+    """Per document: its gold start bytes in ascending order, the indices
+    into ``gold`` in that order, and the length of its longest span."""
+    by_doc: dict[str, list[int]] = {}
+    for j, span in enumerate(gold):
+        by_doc.setdefault(span.doc_id, []).append(j)
+    out = {}
+    for doc_id, order in by_doc.items():
+        order.sort(key=lambda j: gold[j].start_byte)
+        out[doc_id] = ([gold[j].start_byte for j in order], order,
+                       max(gold[j].end_byte - gold[j].start_byte for j in order))
+    return out
 
 
 def align(system: list[ConcordanceLine], gold: list[GoldSpan],
@@ -104,26 +119,34 @@ def align(system: list[ConcordanceLine], gold: list[GoldSpan],
 
     Candidate pairs are ordered by a key symmetric in the two sides, so
     swapping system and gold yields the same count (which makes precision
-    and recall swap cleanly).
+    and recall swap cleanly); pairs with equal keys go in (system index,
+    gold index) order.  Each system line is compared only with the gold
+    spans of its own document that can hit it: their start bytes are
+    sorted once, so under ``exact`` a bisection finds the equal starts,
+    and under ``overlap`` the starts between the line's start minus the
+    document's longest gold span and the line's end.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown alignment criterion {criterion!r}")
+    exact = criterion == EXACT
+    docs = _gold_by_doc(gold)
     candidates = []
     for i, line in enumerate(system):
+        found = docs.get(line.doc_id)
+        if found is None:
+            continue
+        starts, order, longest = found
         ls, le = line.match.start_byte, line.match.end_byte
-        for j, span in enumerate(gold):
-            if line.doc_id != span.doc_id:
-                continue
-            if criterion == EXACT:
-                hit = (ls == span.start_byte and le == span.end_byte)
-            else:
-                hit = _overlaps(ls, le, span.start_byte, span.end_byte)
-            if hit:
-                key = (span.doc_id,
-                       min(ls, span.start_byte), max(ls, span.start_byte),
-                       min(le, span.end_byte), max(le, span.end_byte))
+        if exact:
+            lo, hi = bisect_left(starts, ls), bisect_right(starts, ls)
+        else:
+            lo, hi = bisect_right(starts, ls - longest), bisect_left(starts, le)
+        for j in order[lo:hi]:
+            gs, ge = gold[j].start_byte, gold[j].end_byte
+            if (ge == le) if exact else (ls < ge):
+                key = (line.doc_id, min(ls, gs), max(ls, gs), min(le, ge), max(le, ge))
                 candidates.append((key, i, j))
-    candidates.sort(key=lambda c: c[0])
+    candidates.sort()
     used_system: set[int] = set()
     used_gold: set[int] = set()
     matched = 0

@@ -344,68 +344,85 @@ def load_grammar(paths: list[str], main: str | None = None) -> Grammar:
     return Grammar(graphs, main_name)
 
 
+def _walk_calls(grammar: Grammar) -> tuple[list[str], list[str] | None]:
+    """Depth-first walk of the call structure from each graph in turn.
+
+    Returns the graph names, callees before their callers, and the first
+    call cycle met as a path (None when there is none; the names are then
+    partial).  The walk keeps its own stack, so call chains of any depth
+    fit.
+    """
+    done: list[str] = []
+    on_path: dict[str, bool] = {}  # True while on the current path
+    for root in grammar.graphs:
+        if root in on_path:
+            continue
+        path = [root]
+        pending = [iter(grammar.graphs[root].call_targets())]
+        on_path[root] = True
+        while pending:
+            for target in pending[-1]:
+                if target not in on_path:
+                    path.append(target)
+                    pending.append(iter(grammar.graphs[target].call_targets()))
+                    on_path[target] = True
+                    break
+                if on_path[target]:
+                    return done, path[path.index(target):] + [target]
+            else:
+                pending.pop()
+                name = path.pop()
+                on_path[name] = False
+                done.append(name)
+    return done, None
+
+
 def check_recursion(grammar: Grammar) -> CycleError | None:
     """None when the call structure is acyclic, else one cycle as a path."""
-    color: dict[str, int] = {}
-    stack: list[str] = []
-
-    def dfs(name: str) -> list[str] | None:
-        color[name] = 1
-        stack.append(name)
-        for target in grammar.graphs[name].call_targets():
-            if color.get(target) == 1:
-                return stack[stack.index(target):] + [target]
-            if color.get(target) is None:
-                found = dfs(target)
-                if found:
-                    return found
-        stack.pop()
-        color[name] = 2
-        return None
-
-    for name in grammar.graphs:
-        if color.get(name) is None:
-            cycle = dfs(name)
-            if cycle:
-                return CycleError(cycle)
-    return None
+    _, cycle = _walk_calls(grammar)
+    return CycleError(cycle) if cycle else None
 
 
 def flatten(grammar: Grammar) -> Graph:
     """Inline every call; the result recognizes the same label sequences.
 
-    Each call transition is replaced by a fresh copy of the (already
-    flattened) callee, wired in with epsilon transitions, so the state
-    count is the caller's plus one callee copy per call site.
+    Each call transition is replaced by a fresh copy of the flattened
+    callee, wired in with epsilon transitions, so the state count is the
+    caller's plus one callee copy per call site.  The copies are numbered
+    after the caller's own states, in the order of the call transitions,
+    each laid out the same way in turn.  The transitions are written in
+    one pass over the main graph with an explicit stack of open copies.
     """
-    err = check_recursion(grammar)
-    if err is not None:
-        raise err
-    cache: dict[str, Graph] = {}
-
-    def build(name: str) -> Graph:
-        if name in cache:
-            return cache[name]
+    order, cycle = _walk_calls(grammar)
+    if cycle:
+        raise CycleError(cycle)
+    size: dict[str, int] = {}
+    for name in order:
         g = grammar.graphs[name]
-        n = g.n_states
-        trans: list[tuple[int, Label, int]] = []
-        for frm, label, to in g.transitions:
-            if isinstance(label, Call):
-                sub = build(label.target)
-                base = n
-                n += sub.n_states
-                trans.append((frm, EPSILON, base + sub.initial))
-                for sf, sl, st in sub.transitions:
-                    trans.append((base + sf, sl, base + st))
-                for fin in sub.finals:
-                    trans.append((base + fin, EPSILON, to))
-            else:
-                trans.append((frm, label, to))
-        flat = Graph(g.name, n, g.initial, g.finals, tuple(trans))
-        cache[name] = flat
-        return flat
+        size[name] = g.n_states + sum(size[t] for t in g.call_targets())
 
-    return build(grammar.main)
+    trans: list[tuple[int, Label, int]] = []
+    main = grammar.graphs[grammar.main]
+    # open copies: [graph, its first state, its next free state, its
+    # transitions left, the caller state its finals return to (None for main)]
+    stack = [[main, 0, main.n_states, iter(main.transitions), None]]
+    while stack:
+        frame = stack[-1]
+        g, base, _, todo, back = frame
+        for frm, label, to in todo:
+            if isinstance(label, Call):
+                sub = grammar.graphs[label.target]
+                free = frame[2]
+                frame[2] += size[label.target]
+                trans.append((base + frm, EPSILON, free + sub.initial))
+                stack.append([sub, free, free + sub.n_states, iter(sub.transitions), base + to])
+                break
+            trans.append((base + frm, label, base + to))
+        else:
+            stack.pop()
+            if back is not None:
+                trans.extend((base + fin, EPSILON, back) for fin in g.finals)
+    return Graph(main.name, size[grammar.main], main.initial, main.finals, tuple(trans))
 
 
 # ---------------------------------------------------------------------------

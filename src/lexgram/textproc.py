@@ -5,7 +5,8 @@ apostrophes that sit between letters.  A 1-2 letter prefix ending in an
 apostrophe (elided articles such as ``l'``) is split off as its own word
 token.  Digit runs are number tokens, anything else is a one-character
 punctuation token.  A sentence boundary falls after ``.`` ``!`` ``?``
-followed by whitespace and an uppercase letter.
+followed by at least one space, tab, CR or LF and an uppercase letter;
+``tokenize`` finds the boundaries once and marks them on the tokens.
 
 Tagging attaches every analysis the lexicon has for a token; ambiguity is
 deliberately never pruned.  Words the lexicon does not cover get the
@@ -29,11 +30,12 @@ UNKNOWN_ANALYSES = frozenset([UNKNOWN])
 
 _APOSTROPHES = ("'", "’")
 _SENTENCE_FINAL = (".", "!", "?")
+_BOUNDARY_SPACE = (" ", "\t", "\r", "\n")
 _OPENERS = "([{«"
 _CLOSERS = ")]}»"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """A source span; offsets are byte positions into the UTF-8 text."""
 
@@ -42,6 +44,7 @@ class Token:
     end: int
     kind: str
     sentence_initial: bool = False
+    opens_sentence: bool = False  # begins a sentence after the first one
 
 
 @dataclass(frozen=True)
@@ -132,56 +135,37 @@ def _scan(text: str) -> list[tuple[int, int, str]]:
     return raws
 
 
-def _sentence_starts(source_bytes: bytes, spans: list[tuple[int, int, str]],
-                     surfaces: list[str]) -> set[int]:
-    """Token indices that open a sentence after the first one.
-
-    ``spans`` carries byte offsets here.  A boundary needs sentence-final
-    punctuation, at least one whitespace byte, then an uppercase letter.
-    """
-    starts: set[int] = set()
-    for idx, (start, end, kind) in enumerate(spans):
-        if kind != PUNCT or surfaces[idx] not in _SENTENCE_FINAL:
-            continue
-        if idx + 1 >= len(spans):
-            continue
-        k = end
-        saw_space = False
-        while k < len(source_bytes) and source_bytes[k:k + 1] in (b" ", b"\t", b"\r", b"\n"):
-            saw_space = True
-            k += 1
-        if not saw_space or k >= len(source_bytes):
-            continue
-        nxt = source_bytes[k:k + 4].decode("utf-8", "ignore")
-        if nxt and nxt[0].isalpha() and nxt[0].isupper():
-            starts.add(idx + 1)
-    return starts
+def _boundary_after(text: str, k: int) -> bool:
+    """Whether sentence-final punctuation ending at char ``k`` closes its
+    sentence: at least one space, tab, CR or LF, then an uppercase letter."""
+    j = k
+    while j < len(text) and text[j] in _BOUNDARY_SPACE:
+        j += 1
+    return k < j < len(text) and text[j].isalpha() and text[j].isupper()
 
 
 def tokenize(text: str) -> list[Token]:
+    """Tokens with byte offsets, sentence openings and sentence-initial words.
+
+    Byte offsets grow token by token: only the text between consecutive
+    token boundaries is encoded.
+    """
     if not isinstance(text, str):
         raise InvalidEncoding("tokenize expects decoded text")
-    raws = _scan(text)
-    # char offset -> byte offset prefix table
-    byte_of = [0] * (len(text) + 1)
-    total = 0
-    for pos, ch in enumerate(text):
-        byte_of[pos] = total
-        total += len(ch.encode("utf-8"))
-    byte_of[len(text)] = total
-
-    spans = [(byte_of[cs], byte_of[ce], kind) for cs, ce, kind in raws]
-    surfaces = [text[cs:ce] for cs, ce, _ in raws]
-    starts = _sentence_starts(text.encode("utf-8"), spans, surfaces)
-
-    # the first word token of every sentence is sentence-initial
     tokens: list[Token] = []
-    awaiting = True
-    for idx, ((start, end, kind), surface) in enumerate(zip(spans, surfaces)):
-        awaiting = awaiting or idx in starts
+    pos = byte = 0  # char and byte offset of the end of the previous token
+    opens = False  # whether the next token opens a sentence
+    awaiting = True  # the first word token of every sentence is sentence-initial
+    for cs, ce, kind in _scan(text):
+        if cs > pos:
+            byte += len(text[pos:cs].encode("utf-8"))
+        surface = text[cs:ce]
+        start, byte, pos = byte, byte + len(surface.encode("utf-8")), ce
+        awaiting = awaiting or opens
         initial = awaiting and kind == WORD
         awaiting = awaiting and not initial
-        tokens.append(Token(surface, start, end, kind, initial))
+        tokens.append(Token(surface, start, byte, kind, initial, opens))
+        opens = kind == PUNCT and surface in _SENTENCE_FINAL and _boundary_after(text, ce)
     return tokens
 
 
@@ -206,7 +190,8 @@ def tag(tokens: list[Token], index: LexIndex, source: str,
     gets a PONCT analysis, digit runs a NUM analysis, uncovered words the
     UNKNOWN pseudo-analysis.  Tokens with the same analyses share one set
     object (the index already returns one set per form), so matchers can
-    memoize per set.
+    memoize per set.  The sentence boundaries are the tokens ``tokenize``
+    marked as opening a sentence.
     """
     tagged: list[TaggedToken] = []
     fixed: dict[tuple[str, str], frozenset[Analysis]] = {}
@@ -220,11 +205,8 @@ def tag(tokens: list[Token], index: LexIndex, source: str,
             if analyses is None:
                 analyses = fixed[key] = frozenset([_fixed_analysis(token)])
         tagged.append(TaggedToken(token, analyses))
-
-    spans = [(t.start, t.end, t.kind) for t in tokens]
-    surfaces = [t.surface for t in tokens]
-    starts = _sentence_starts(source.encode("utf-8"), spans, surfaces)
-    return TaggedText(tagged, source, tuple(sorted(starts)))
+    boundaries = tuple(i for i, token in enumerate(tokens) if token.opens_sentence)
+    return TaggedText(tagged, source, boundaries)
 
 
 def restrict_tagging(tagged: TaggedText, index: LexIndex, subcat: str,

@@ -106,6 +106,20 @@ def test_epsilon_cycle_grammar_exit_code(tmp_path, capsys):
     assert "epsilon cycle" in err
 
 
+def test_long_call_cycle_exit_code(tmp_path, capsys):
+    (tmp_path / "ok.dic").write_text("le,le.DET:ms\n")
+    chain = "".join(f"graph G{k}\ninit 0\nfinal 1\ntrans 0 1 :G{(k + 1) % 3000}\n"
+                    for k in range(3000))
+    (tmp_path / "g.grm").write_text(chain)
+    (tmp_path / "d.txt").write_text("Bonjour.\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lexicon = ok.dic\npn_grammar = g.grm\nsvc_grammar = g.grm\n"
+                   "corpus = d.txt\nout = out\n")
+    code, _, err = run_cli(capsys, "run", "-c", str(cfg))
+    assert code == 4
+    assert "recursive call chain: G0 -> G1 -> " in err
+
+
 def test_invalid_corpus_encoding_exit_code(tmp_path, capsys):
     dic = tmp_path / "ok.dic"
     dic.write_text("le,le.DET:ms\n")

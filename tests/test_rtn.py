@@ -105,6 +105,31 @@ def test_long_epsilon_cycle_rejected_at_load():
         parse_graph_file(_epsilon_chain(3000, closing="trans 3000 0 <E>"))
 
 
+def _call_chain(n, closing=""):
+    """Graphs G0 -> G1 -> ... -> G<n-1>, the last one reading <DET>."""
+    parts = [f"graph G{k}\ninit 0\nfinal 1\ntrans 0 1 :G{k + 1}\n" for k in range(n - 1)]
+    parts.append(f"graph G{n - 1}\ninit 0\nfinal 1\ntrans 0 1 <DET>\n{closing}")
+    return "".join(parts)
+
+
+def test_long_call_chain_flattens_and_locates(tmp_path):
+    path = tmp_path / "chain.grm"
+    path.write_text(_call_chain(3000), encoding="utf-8")
+    grammar = load_grammar([str(path)])
+    assert check_recursion(grammar) is None
+    flat = flatten(grammar)
+    assert flat.n_states == 2 * 3000
+    assert [m.span for m in locate(flat, tagged_text("le débat"))] == [(0, 1)]
+
+
+def test_long_call_cycle_found(tmp_path):
+    path = tmp_path / "cycle.grm"
+    path.write_text(_call_chain(3000, closing="trans 0 1 :G0\n"), encoding="utf-8")
+    err = check_recursion(load_grammar([str(path)]))
+    assert isinstance(err, CycleError)
+    assert err.path == [f"G{k}" for k in range(3000)] + ["G0"]
+
+
 def test_mask_parse_full_spec():
     text = 'graph A\ninit 0\nfinal 1\ntrans 0 1 <donner.V+Supp-Aux:Kp!g1>\n'
     g = parse_graph_file(text)[0]
