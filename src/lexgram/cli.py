@@ -29,7 +29,6 @@ from .errors import (
     UnresolvedCall,
     ZeroRecall,
 )
-from .inflect import expand_lexicon, load_lemma_entries, load_paradigms
 from .lexicon import serialize_entry
 from .textproc import dump_tagged
 
@@ -72,10 +71,8 @@ def _cmd_inflect(args) -> int:
     cfg = _config(args)
     if not cfg.lemmas:
         raise ConfigError("config has no lemma files to inflect")
-    paradigms = load_paradigms(cfg.paradigms)
-    for path in cfg.lemmas:
-        for entry in expand_lexicon(load_lemma_entries(path), paradigms):
-            print(serialize_entry(entry))
+    for entry in pipeline.build_entries(replace(cfg, lexicon=[])):
+        print(serialize_entry(entry))
     return EXIT_OK
 
 
@@ -127,8 +124,7 @@ def _cmd_eval(args) -> int:
     cfg = _config(args)
     if not cfg.gold:
         raise ConfigError("config has no gold file")
-    run = pipeline.run_pipeline(cfg, args.out) if (args.write or args.out) \
-        else pipeline.Run(cfg)
+    run = pipeline.run_pipeline(cfg, args.out) if args.out else pipeline.Run(cfg)
     sys.stdout.write(pipeline.format_metrics(run.evaluation[0], cfg.rounding))
     return EXIT_OK
 
@@ -202,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     with_config("classify", _cmd_classify, help="print classification counts as TSV")
     p = with_config("eval", _cmd_eval, help="print metrics against the gold file")
     p.add_argument("--out", help="also write the full report files")
-    p.add_argument("--write", action="store_true",
-                   help="run the writing pipeline instead of eval only")
     p = with_config("report", _cmd_report, help="run everything and print a summary")
     p.add_argument("--out", help="output directory (overrides the config)")
     p = sub.add_parser("verify-tables",

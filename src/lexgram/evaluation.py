@@ -28,6 +28,7 @@ from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from .concord import ConcordanceLine
 from .errors import EmptyGold, EmptySystem, MalformedGold, ZeroRecall
 from .lexicon import CASE_FOLD, PN_FEATURE, LexIndex, lookup
+from .source import content_lines, read_text
 
 LABELS = ("PN", "SVC")
 OVERLAP = "overlap"
@@ -81,21 +82,16 @@ class Metrics:
 
 def load_gold(path: str) -> list[GoldSpan]:
     spans: list[GoldSpan] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip() or stripped.lstrip().startswith("#"):
-                continue
-            fields = stripped.split("\t")
-            if len(fields) != 6:
-                raise MalformedGold("gold line needs 6 tab-separated fields",
-                                    lineno, str(path))
-            doc_id, start, end, label, annotator, head = fields
-            try:
-                spans.append(GoldSpan(doc_id, int(start), int(end), label,
-                                      annotator, head))
-            except ValueError as err:
-                raise MalformedGold(str(err), lineno, str(path)) from err
+    text = read_text(path, lambda reason: MalformedGold(reason, path=str(path)))
+    for lineno, line in content_lines(text):
+        fields = line.split("\t")
+        if len(fields) != 6:
+            raise MalformedGold("gold line needs 6 tab-separated fields", lineno, str(path))
+        doc_id, start, end, label, annotator, head = fields
+        try:
+            spans.append(GoldSpan(doc_id, int(start), int(end), label, annotator, head))
+        except ValueError as err:
+            raise MalformedGold(str(err), lineno, str(path)) from err
     return spans
 
 
@@ -218,10 +214,6 @@ def in_lexicon_recall(system: list[ConcordanceLine], gold: list[GoldSpan],
 
 # ---------------------------------------------------------------------------
 # display rounding
-
-def round_half_up(value: float) -> int:
-    return int(Decimal(repr(value)).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
-
 
 def round_display(value: float, mode: str = "half-up") -> int:
     if mode not in ROUNDINGS:

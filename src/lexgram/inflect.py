@@ -1,6 +1,6 @@
 """Operator-based inflection paradigms and lexicon expansion.
 
-Paradigm file (UTF-8):
+Paradigm file (see ``source`` for encoding, line breaks and comments):
 
     paradigm NAME:
         <e>:fs ; s:fp
@@ -10,7 +10,6 @@ header, separated by ``;``.  Each rule is a sequence of space-separated
 operator tokens followed by ``:`` and the inflection code the produced
 form carries.  Token ``L`` deletes the last character of the working
 form, ``<e>`` does nothing, any other token appends itself literally.
-``#`` comments and blank lines are ignored.
 
 Lemma file: one entry per line,
 
@@ -26,13 +25,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import LemmaTooShort, MalformedEntry, MalformedParadigm, UnknownParadigm
-from .lexicon import (
-    _CATEGORY_ALPHABET,
-    _TAG_ALPHABET,
-    LexEntry,
-    _scan_field,
-    _scan_tag,
-)
+from .lexicon import _TAG_ALPHABET, LexEntry, _scan_tag, load_entries, scan_head
+from .source import content_lines, read_text
 
 DELETE_OP = "L"
 NOOP_OP = "<e>"
@@ -65,19 +59,11 @@ class Rule:
                                 f"an empty form from {lemma!r}")
         return form
 
-    @property
-    def delete_count(self) -> int:
-        return sum(1 for op in self.ops if op == DELETE_OP)
-
 
 @dataclass(frozen=True)
 class Paradigm:
     name: str
     rules: tuple[Rule, ...]
-
-    @property
-    def max_delete(self) -> int:
-        return max((r.delete_count for r in self.rules), default=0)
 
 
 def _parse_rule(text: str) -> Rule:
@@ -123,10 +109,8 @@ def parse_paradigm_file(text: str, path: str | None = None) -> dict[str, Paradig
             raise MalformedParadigm(f"duplicate paradigm {name!r}", path)
         paradigms[name] = Paradigm(name, tuple(rules))
 
-    for line in text.splitlines():
+    for _, line in content_lines(text):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
         header = _HEADER_RE.match(stripped)
         if header:
             close()
@@ -151,11 +135,11 @@ def parse_paradigm(text: str) -> Paradigm:
 def load_paradigms(paths: list[str]) -> dict[str, Paradigm]:
     merged: dict[str, Paradigm] = {}
     for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            for name, paradigm in parse_paradigm_file(handle.read(), str(path)).items():
-                if name in merged:
-                    raise MalformedParadigm(f"duplicate paradigm {name!r}", str(path))
-                merged[name] = paradigm
+        text = read_text(path, lambda reason: MalformedParadigm(reason, str(path)))
+        for name, paradigm in parse_paradigm_file(text, str(path)).items():
+            if name in merged:
+                raise MalformedParadigm(f"duplicate paradigm {name!r}", str(path))
+            merged[name] = paradigm
     return merged
 
 
@@ -184,23 +168,7 @@ def parse_lemma_entry(line: str) -> LemmaEntry:
     raw = line.rstrip("\n")
     if raw.endswith("\r"):
         raw = raw[:-1]
-    lemma, i = _scan_field(raw, 0, ".")
-    if i >= len(raw):
-        raise MalformedEntry("missing dot after lemma", len(raw) or 1)
-    if not lemma:
-        raise MalformedEntry("empty lemma", 1)
-    k = i + 1
-    category, k = _scan_tag(raw, k, _CATEGORY_ALPHABET)
-    if not category:
-        raise MalformedEntry("empty category", k + 1)
-    features: list[str] = []
-    while k < len(raw) and raw[k] == "+":
-        feat, k2 = _scan_tag(raw, k + 1, _TAG_ALPHABET)
-        if not feat:
-            raise MalformedEntry("empty feature", k + 2)
-        if feat not in features:
-            features.append(feat)
-        k = k2
+    lemma, category, features, k = scan_head(raw, 0)
     if k >= len(raw) or raw[k] != ":":
         raise MalformedEntry("missing paradigm name", k + 1)
     name, k2 = _scan_tag(raw, k + 1, _TAG_ALPHABET)
@@ -208,23 +176,11 @@ def parse_lemma_entry(line: str) -> LemmaEntry:
         raise MalformedEntry("empty paradigm name", k + 2)
     if k2 < len(raw):
         raise MalformedEntry(f"unexpected character {raw[k2]!r}", k2 + 1)
-    return LemmaEntry(lemma, category, tuple(features), name)
+    return LemmaEntry(lemma, category, features, name)
 
 
 def load_lemma_entries(path: str) -> list[LemmaEntry]:
-    entries: list[LemmaEntry] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                entries.append(parse_lemma_entry(line))
-            except MalformedEntry as err:
-                err.line = lineno
-                err.path = str(path)
-                raise
-    return entries
+    return load_entries(path, parse_lemma_entry)
 
 
 def expand_lexicon(lemma_entries: list[LemmaEntry],

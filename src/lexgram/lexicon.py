@@ -1,13 +1,12 @@
 """DELAF-style lexicon: parsing, serialization, indexing, lookup.
 
-One entry per line, UTF-8, LF terminated:
+One entry per line (see ``source`` for encoding, line breaks, comments):
 
     form "," lemma "." category ("+" feature)* (":" inflection_code)*
 
 Inside ``form`` and ``lemma`` the characters ``, . + : \\`` are written
 with a leading backslash.  Features and inflection codes are ASCII
-alphanumerics plus ``=`` and ``-``.  Lines starting with ``#`` and blank
-lines are ignored.
+alphanumerics plus ``=`` and ``-``.
 
 Support-verb links on predicative-noun entries are plain features of the
 shape ``SV=lemma`` (one per licensed verb), so a single file format covers
@@ -17,9 +16,11 @@ becomes one analysis at indexing time.
 from __future__ import annotations
 
 import string
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import MalformedEntry
+from .source import content_lines, read_text
 
 CASE_EXACT = "exact"
 CASE_FOLD = "sentence-initial-fold"
@@ -159,6 +160,28 @@ def _scan_tag(line: str, start: int, alphabet: frozenset[str]) -> tuple[str, int
     return line[start:i], i
 
 
+def scan_head(raw: str, start: int) -> tuple[str, str, tuple[str, ...], int]:
+    """Scan ``lemma "." category ("+" feature)*`` from ``start``: the lemma,
+    category, distinct features in file order and the index after them."""
+    lemma, j = _scan_field(raw, start, ".")
+    if j >= len(raw):
+        raise MalformedEntry("missing dot after lemma", len(raw) or 1)
+    if not lemma:
+        raise MalformedEntry("empty lemma", start + 1)
+    category, k = _scan_tag(raw, j + 1, _CATEGORY_ALPHABET)
+    if not category:
+        raise MalformedEntry("empty category", k + 1)
+    features: list[str] = []
+    while k < len(raw) and raw[k] == "+":
+        feat, k2 = _scan_tag(raw, k + 1, _TAG_ALPHABET)
+        if not feat:
+            raise MalformedEntry("empty feature", k + 2)
+        if feat not in features:
+            features.append(feat)
+        k = k2
+    return lemma, category, tuple(features), k
+
+
 def parse_entry(line: str) -> LexEntry:
     """Parse one lexicon line; raises MalformedEntry with a 1-based column."""
     raw = line.rstrip("\n")
@@ -169,24 +192,8 @@ def parse_entry(line: str) -> LexEntry:
         raise MalformedEntry("missing comma after surface form", len(raw) or 1)
     if not form:
         raise MalformedEntry("empty surface form", 1)
-    lemma, j = _scan_field(raw, i + 1, ".")
-    if j >= len(raw):
-        raise MalformedEntry("missing dot after lemma", len(raw))
-    if not lemma:
-        raise MalformedEntry("empty lemma", i + 2)
-    k = j + 1
-    category, k = _scan_tag(raw, k, _CATEGORY_ALPHABET)
-    if not category:
-        raise MalformedEntry("empty category", k + 1)
-    features: list[str] = []
+    lemma, category, features, k = scan_head(raw, i + 1)
     codes: list[str] = []
-    while k < len(raw) and raw[k] == "+":
-        feat, k2 = _scan_tag(raw, k + 1, _TAG_ALPHABET)
-        if not feat:
-            raise MalformedEntry("empty feature", k + 2)
-        if feat not in features:
-            features.append(feat)
-        k = k2
     while k < len(raw) and raw[k] == ":":
         code, k2 = _scan_tag(raw, k + 1, _TAG_ALPHABET)
         if not code:
@@ -196,7 +203,7 @@ def parse_entry(line: str) -> LexEntry:
         k = k2
     if k < len(raw):
         raise MalformedEntry(f"unexpected character {raw[k]!r}", k + 1)
-    return LexEntry(form, lemma, category, tuple(features), tuple(codes))
+    return LexEntry(form, lemma, category, features, tuple(codes))
 
 
 def serialize_entry(entry: LexEntry) -> str:
@@ -209,20 +216,23 @@ def serialize_entry(entry: LexEntry) -> str:
     return "".join(parts)
 
 
-def load_lexicon(path: str) -> list[LexEntry]:
-    entries: list[LexEntry] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                entries.append(parse_entry(line))
-            except MalformedEntry as err:
-                err.line = lineno
-                err.path = str(path)
-                raise
+def load_entries(path: str, parse: Callable[[str], object]) -> list:
+    """``parse`` applied to every content line of a lexicon-style file; a
+    MalformedEntry names the file and the line."""
+    text = read_text(path, lambda reason: MalformedEntry(reason, path=str(path)))
+    entries = []
+    for lineno, line in content_lines(text):
+        try:
+            entries.append(parse(line))
+        except MalformedEntry as err:
+            err.line = lineno
+            err.path = str(path)
+            raise
     return entries
+
+
+def load_lexicon(path: str) -> list[LexEntry]:
+    return load_entries(path, parse_entry)
 
 
 class LexIndex:
@@ -251,9 +261,6 @@ class LexIndex:
             if node is None:
                 return frozenset()
         return node.get(self._PAYLOAD, frozenset())
-
-    def lookup(self, form: str, case_policy: str = CASE_EXACT) -> frozenset[Analysis]:
-        return lookup(self, form, case_policy)
 
     def forms(self) -> list[str]:
         """All indexed surface forms, sorted."""

@@ -1,8 +1,8 @@
 """Declarative run configuration and the batch pipeline.
 
-Config file: ``key = value`` lines, ``#`` comments, blank lines ignored.
-Multi-valued keys take space-separated values.  Relative paths resolve
-against the directory containing the config file.
+Config file: ``key = value`` lines (see ``source`` for encoding, line
+breaks and comments).  Multi-valued keys take space-separated values.
+Relative paths resolve against the directory containing the config file.
 
     lexicon          static inflected lexicon files
     lemmas           lemma files expanded through the paradigms
@@ -40,7 +40,7 @@ from functools import cached_property
 from . import classify as classify_mod
 from . import evaluation
 from .concord import ConcordanceLine, build_concordance, format_concordance, sort_concordance
-from .errors import ConfigError
+from .errors import ConfigError, InvalidEncoding
 from .inflect import expand_lexicon, load_lemma_entries, load_paradigms
 from .lexicon import (
     CASE_FOLD,
@@ -52,7 +52,8 @@ from .lexicon import (
     load_lexicon,
 )
 from .rtn import POLICIES, Grammar, Graph, Match, flatten, load_grammar, locate
-from .textproc import TaggedText, read_text, tag, tokenize
+from .source import content_lines, read_text
+from .textproc import TaggedText, tag, tokenize
 
 _LIST_KEYS = {"lexicon", "lemmas", "paradigms", "pn_grammar", "svc_grammar",
               "pn_grammar_nca", "pn_grammar_ncf", "pn_grammar_cv",
@@ -94,21 +95,18 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}, line {lineno}: expected key = value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _LIST_KEYS and key not in _SCALAR_KEYS:
-                raise ConfigError(f"{path}, line {lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}, line {lineno}: duplicate key {key!r}")
-            values[key] = value
+    text = read_text(path, lambda reason: ConfigError(f"{path}: {reason}"))
+    for lineno, line in content_lines(text):
+        if "=" not in line:
+            raise ConfigError(f"{path}, line {lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _LIST_KEYS and key not in _SCALAR_KEYS:
+            raise ConfigError(f"{path}, line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}, line {lineno}: duplicate key {key!r}")
+        values[key] = value
 
     def resolve(rel: str) -> str:
         return os.path.normpath(os.path.join(base, rel))
@@ -225,7 +223,8 @@ def load_corpus(cfg: RunConfig) -> list[tuple[str, str]]:
         if doc_id in seen:
             raise ConfigError(f"duplicate doc id {doc_id!r} in corpus glob")
         seen.add(doc_id)
-        docs.append((doc_id, read_text(path)))
+        text = read_text(path, lambda reason: InvalidEncoding(f"{path}: {reason}"))
+        docs.append((doc_id, text))
     docs.sort(key=lambda d: d[0])
     return docs
 
@@ -414,12 +413,15 @@ class Run:
         }
         if self.cfg.gold:
             payloads["metrics.tsv"] = format_metrics(self.evaluation[0], self.cfg.rounding)
-        os.makedirs(out, exist_ok=True)
-        for name, payload in payloads.items():
-            path = os.path.join(out, name)
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(payload)
-            self.written.append(path)
+        try:
+            os.makedirs(out, exist_ok=True)
+            for name, payload in payloads.items():
+                path = os.path.join(out, name)
+                with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                    handle.write(payload)
+                self.written.append(path)
+        except OSError as err:
+            raise ConfigError(f"cannot write report files to {out}: {err.strerror or err}") from err
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str | None = None) -> Run:

@@ -30,8 +30,6 @@ PRECISION_COUNTS = {
     "PN": (831, {"E1": 564, "E2": 561}),
     "SVC": (895, {"E1": 751, "E2": 576}),
 }
-EVAL_SUBCORPUS = {("recall", "PN"): "C1", ("recall", "SVC"): "C1",
-                  ("precision", "PN"): "C1", ("precision", "SVC"): "C2"}
 
 # correction inputs: label -> (raw count, precision, recall); the ratios are
 # the averaged scores rounded to two decimals, as used in the reference
@@ -120,7 +118,7 @@ def verify_tables() -> list[CellResult]:
         n, p, r = CORRECTION_INPUTS[label]
         corrected[label] = evaluation.bias_correct(n, p, r)
         cells.append(_cell(f"corrected.count.{label}",
-                           str(evaluation.round_half_up(corrected[label]))))
+                           str(evaluation.round_display(corrected[label], "half-up"))))
     n_pn, _, _ = CORRECTION_INPUTS["PN"]
     n_svc, _, _ = CORRECTION_INPUTS["SVC"]
     cells.append(_cell("proportion.raw", pct(n_svc / n_pn)))

@@ -1,8 +1,9 @@
 """Recursion-free RTN grammars: loading, flattening, matching.
 
-Graph file (UTF-8, line-oriented, ``#`` comments):
+Graph file (see ``source`` for encoding, line breaks and comments):
 
-    graph NAME        opens a graph; states are the integers the lines use
+    graph NAME        opens a graph; states are the ASCII integers the
+                      lines use, renumbered 0, 1, ... in order at load
     init S            initial state (exactly one per graph)
     final S           accepting state (one or more lines)
     trans FROM TO LABEL
@@ -37,9 +38,9 @@ consuming out-edge; each state's consuming transitions are grouped; and
 what a label makes of a token (``readings``) is memoized per label and
 analysis set, or per surface for literals.  The simulation then runs from
 each start token that some label leaving the initial closure accepts.
-The direct recursive interpreter over the unflattened grammar,
-``locate_recursive``, stays the reference implementation (the oracle);
-both must agree on every match span and binding.
+``locate_recursive``, a pushdown simulation over the unflattened grammar,
+stays the reference implementation (the oracle); both must agree on every
+match span and binding.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import CycleError, MalformedGraph, UnresolvedCall
+from .source import content_lines, read_text
 from .textproc import TaggedText, TaggedToken
 
 POLICY_LONGEST = "longest"
@@ -216,12 +218,14 @@ def _finish_graph(name: str, path: str, lineno: int, init: int | None,
     for frm, _, to in trans:
         states.add(frm)
         states.add(to)
-    n_states = max(states) + 1
-    graph = Graph(name, n_states, init, frozenset(finals), tuple(trans))
+    # states renumbered densely, so a graph's size follows the states it uses
+    ids = {state: i for i, state in enumerate(sorted(states))}
+    graph = Graph(name, len(ids), ids[init], frozenset(ids[f] for f in finals),
+                  tuple((ids[frm], label, ids[to]) for frm, label, to in trans))
 
     # a final must be reachable from the initial state
-    seen = {init}
-    frontier = [init]
+    seen = {graph.initial}
+    frontier = [graph.initial]
     while frontier:
         state = frontier.pop()
         for _, to in graph.adjacency()[state]:
@@ -266,26 +270,23 @@ def parse_graph_file(text: str, path: str = "<string>") -> list[Graph]:
     finals: set[int] = set()
     trans: list[tuple[int, Label, int]] = []
 
-    def close(lineno: int) -> None:
+    def close() -> None:
         nonlocal name
         if name is not None:
             graphs.append(_finish_graph(name, path, start_line, init, finals, trans))
             name = None
 
     def state_num(token: str, lineno: int) -> int:
-        if not token.isdigit():
+        if not (token.isascii() and token.isdigit()):
             raise MalformedGraph(path, lineno, f"bad state {token!r}")
         return int(token)
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split(None, 1)
+    for lineno, line in content_lines(text):
+        fields = line.split(None, 1)
         keyword = fields[0]
         rest = fields[1] if len(fields) > 1 else ""
         if keyword == "graph":
-            close(lineno)
+            close()
             if not rest:
                 raise MalformedGraph(path, lineno, "graph needs a name")
             name = rest.strip()
@@ -310,7 +311,7 @@ def parse_graph_file(text: str, path: str = "<string>") -> list[Graph]:
             trans.append((frm, _parse_label(parts[2].strip(), path, lineno), to))
         else:
             raise MalformedGraph(path, lineno, f"unknown directive {keyword!r}")
-    close(len(text.splitlines()) + 1)
+    close()
     if not graphs:
         raise MalformedGraph(path, None, "no graphs in file")
     return graphs
@@ -326,14 +327,13 @@ def load_grammar(paths: list[str], main: str | None = None) -> Grammar:
     graphs: dict[str, Graph] = {}
     first_name: str | None = None
     for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            for graph in parse_graph_file(handle.read(), str(path)):
-                if graph.name in graphs:
-                    raise MalformedGraph(str(path), None,
-                                         f"duplicate graph {graph.name!r}")
-                graphs[graph.name] = graph
-                if first_name is None:
-                    first_name = graph.name
+        text = read_text(path, lambda reason: MalformedGraph(str(path), None, reason))
+        for graph in parse_graph_file(text, str(path)):
+            if graph.name in graphs:
+                raise MalformedGraph(str(path), None, f"duplicate graph {graph.name!r}")
+            graphs[graph.name] = graph
+            if first_name is None:
+                first_name = graph.name
     main_name = main or first_name
     if main_name not in graphs:
         raise UnresolvedCall(main_name)
@@ -698,33 +698,46 @@ def span_accepts(flat: Graph, tagged: TaggedText, start: int, end: int,
 
 
 # ---------------------------------------------------------------------------
-# reference interpreter: executes calls by direct descent, no flattening
+# reference interpreter: executes calls on the unflattened grammar
 
-def _descend(grammar: Grammar, name: str, start: int, limit: int,
-             seed: Bindings, tagged: TaggedText) -> dict[tuple[int, Bindings], None]:
-    graph = grammar.graphs[name]
-    adj = graph.adjacency()
+def _descend(grammar: Grammar, start: int, limit: int,
+             tagged: TaggedText) -> dict[tuple[int, Bindings], None]:
+    """Every (end, bindings) at which the main graph accepts from ``start``.
+
+    A pushdown simulation: a configuration is (graph, state, position,
+    bindings, return point).  A return point indexes ``returns``, whose
+    entries hold the calling graph, the state the call returns to and the
+    caller's own return point (-1 in the main graph), so calls of any
+    depth need neither flattening nor Python recursion.
+    """
+    graphs = grammar.graphs
+    returns: list[tuple[str, int, int]] = []
     results: dict[tuple[int, Bindings], None] = {}
     seen: set = set()
-    frontier: list[tuple[int, int, Bindings]] = [(graph.initial, start, seed)]
+    frontier = [(grammar.main, graphs[grammar.main].initial, start, EMPTY_BINDINGS, -1)]
     while frontier:
-        state, pos, bindings = frontier.pop()
-        key = (state, pos, bindings)
-        if key in seen:
+        config = frontier.pop()
+        if config in seen:
             continue
-        seen.add(key)
+        seen.add(config)
+        name, state, pos, bindings, back = config
+        graph = graphs[name]
         if state in graph.finals:
-            results.setdefault((pos, bindings))
-        for label, to in adj[state]:
+            if back < 0:
+                results.setdefault((pos, bindings))
+            else:
+                caller, to, caller_back = returns[back]
+                frontier.append((caller, to, pos, bindings, caller_back))
+        for label, to in graph.adjacency()[state]:
             if label is EPSILON:
-                frontier.append((to, pos, bindings))
+                frontier.append((name, to, pos, bindings, back))
             elif isinstance(label, Call):
-                for (sub_end, sub_bind) in _descend(grammar, label.target, pos,
-                                                    limit, bindings, tagged):
-                    frontier.append((to, sub_end, sub_bind))
+                returns.append((name, to, back))
+                callee = graphs[label.target]
+                frontier.append((label.target, callee.initial, pos, bindings, len(returns) - 1))
             elif pos < limit:
                 for after in _label_outcomes(label, tagged.tokens[pos], bindings):
-                    frontier.append((to, pos + 1, after))
+                    frontier.append((name, to, pos + 1, after, back))
     return results
 
 
@@ -740,7 +753,7 @@ def locate_recursive(grammar: Grammar, tagged: TaggedText,
     matches: list[Match] = []
     for start in range(len(tagged.tokens)):
         limit = tagged.sentence_end(start)
-        raw = _descend(grammar, grammar.main, start, limit, EMPTY_BINDINGS, tagged)
+        raw = _descend(grammar, start, limit, tagged)
         reached: dict[int, list[Bindings]] = {}
         for (end, bindings) in raw:
             if end > start:

@@ -1,0 +1,42 @@
+"""The input-file format every resource reader shares: strict UTF-8 (no
+BOM stripped, no byte replaced), lines broken at LF, CRLF or CR, blank
+lines and ``#`` comments skipped.  A file that cannot be read or decoded
+raises the error its reader names, so each format keeps its exit code.
+"""
+from __future__ import annotations
+
+from collections.abc import Callable, Iterator
+
+from .errors import LexgramError
+
+
+def read_text(path: str, error: Callable[[str], LexgramError]) -> str:
+    """The decoded contents of ``path``; an unreadable file or a byte
+    sequence that is not UTF-8 raises ``error(reason)``."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as err:
+        raise error(f"cannot read: {err.strerror or err}") from err
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"not UTF-8: {err}") from err
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, line without its break) for every line that
+    is neither blank nor a ``#`` comment."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lineno = start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        line = text[start:end]
+        lineno += 1
+        start = end + 1
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line

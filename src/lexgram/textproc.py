@@ -259,12 +259,3 @@ def dump_tagged(tagged: TaggedText) -> str:
                             for a in sorted(tt.analyses, key=lambda a: a.sort_key))
         lines.append(f"{tt.token.start}\t{tt.token.end}\t{tt.token.surface}\t{rendered}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def read_text(path: str) -> str:
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    try:
-        return blob.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise InvalidEncoding(f"{path}: {err}") from err

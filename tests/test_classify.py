@@ -111,11 +111,11 @@ def test_by_subcategory_without_dedicated_grammars(subcat_inputs):
 
 def test_corrected_ratio_reference_arithmetic(corpus_docs, entries, grammars):
     # CV cell of the reference breakdown: 1334 -> 2598, 30231 -> 26355, 9.9%
-    from lexgram.evaluation import bias_correct, corrected_proportion, percent, round_half_up
+    from lexgram.evaluation import bias_correct, corrected_proportion, percent, round_display
     corrected_svc = bias_correct(1334, 0.74, 0.38)
     corrected_pn = bias_correct(30231, 0.68, 0.78)
-    assert round_half_up(corrected_svc) == 2598
-    assert round_half_up(corrected_pn) == 26355
+    assert round_display(corrected_svc, "half-up") == 2598
+    assert round_display(corrected_pn, "half-up") == 26355
     ratio = corrected_proportion(30231, 0.68, 0.78, 1334, 0.74, 0.38)
     assert ratio == pytest.approx(0.0986, abs=5e-5)
     assert percent(ratio) == "10%"

@@ -120,6 +120,28 @@ def test_long_call_cycle_exit_code(tmp_path, capsys):
     assert "recursive call chain: G0 -> G1 -> " in err
 
 
+def test_non_ascii_state_number_exit_code(tmp_path, capsys):
+    (tmp_path / "ok.dic").write_text("le,le.DET:ms\n")
+    (tmp_path / "g.grm").write_text("graph G\ninit 0\nfinal 1\ntrans 0 \u00b2 <DET>\n",
+                                    encoding="utf-8")
+    (tmp_path / "d.txt").write_text("Bonjour.\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lexicon = ok.dic\npn_grammar = g.grm\nsvc_grammar = g.grm\n"
+                   "corpus = d.txt\nout = out\n")
+    code, _, err = run_cli(capsys, "run", "-c", str(cfg))
+    assert code == 4
+    assert "MalformedGraph" in err and "line 4" in err
+
+
+def test_out_names_existing_file_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    code, _, err = run_cli(capsys, "run", "-c", CFG, "--out", str(taken))
+    assert code == 2
+    assert "ConfigError" in err and str(taken) in err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_invalid_corpus_encoding_exit_code(tmp_path, capsys):
     dic = tmp_path / "ok.dic"
     dic.write_text("le,le.DET:ms\n")

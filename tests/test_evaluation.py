@@ -18,7 +18,6 @@ from lexgram.evaluation import (
     precision,
     recall,
     round_display,
-    round_half_up,
 )
 from lexgram.rtn import Match
 
@@ -121,8 +120,8 @@ def test_averages_use_unrounded_values():
 # -- correction --------------------------------------------------------------------
 
 def test_bias_correct_reference_values():
-    assert round_half_up(bias_correct(95430, 0.68, 0.78)) == 83195
-    assert round_half_up(bias_correct(3349, 0.74, 0.38)) == 6522
+    assert round_display(bias_correct(95430, 0.68, 0.78), "half-up") == 83195
+    assert round_display(bias_correct(3349, 0.74, 0.38), "half-up") == 6522
 
 
 def test_bias_correct_identity_when_p_equals_r():
@@ -164,8 +163,8 @@ def test_metrics_invariants():
 # -- display rounding ----------------------------------------------------------------
 
 def test_half_up_rounds_ties_up():
-    assert round_half_up(62.5) == 63
-    assert round_half_up(87.5) == 88
+    assert round_display(62.5, "half-up") == 63
+    assert round_display(87.5, "half-up") == 88
     assert percent(0.625) == "63%"
 
 

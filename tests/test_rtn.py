@@ -72,6 +72,8 @@ def test_unresolved_call(tmp_path):
     ("graph A\ninit 0\nfinal 1\nwobble 3\n", "unknown directive"),
     ("init 0\n", "directive before header"),
     ("graph A\ninit 0\nfinal 1\ntrans 0 1 \"unclosed\n", "unterminated literal"),
+    ("graph A\ninit 0\nfinal 1\ntrans 0 \u00b2 <N>\n", "superscript digit as state"),
+    ("graph A\ninit \u0661\nfinal 1\ntrans 1 2 <N>\n", "non-ASCII digit as state"),
 ])
 def test_malformed_graphs(text, reason):
     with pytest.raises(MalformedGraph):
@@ -119,7 +121,18 @@ def test_long_call_chain_flattens_and_locates(tmp_path):
     assert check_recursion(grammar) is None
     flat = flatten(grammar)
     assert flat.n_states == 2 * 3000
-    assert [m.span for m in locate(flat, tagged_text("le débat"))] == [(0, 1)]
+    tagged = tagged_text("le débat")
+    assert [m.span for m in locate(flat, tagged)] == [(0, 1)]
+    assert [(m.span, m.bindings) for m in locate_recursive(grammar, tagged)] \
+        == [(m.span, m.bindings) for m in locate(flat, tagged)]
+
+
+def test_state_numbers_renumbered_densely():
+    g = parse_graph_file("graph A\ninit 7\nfinal 1000000\n"
+                         "trans 7 42 <DET>\ntrans 42 1000000 <N>\n")[0]
+    assert (g.n_states, g.initial, g.finals) == (3, 0, frozenset({2}))
+    assert [(frm, to) for frm, _, to in g.transitions] == [(0, 1), (1, 2)]
+    assert [m.span for m in locate(flatten(_grammar(g)), tagged_text("le débat"))] == [(0, 2)]
 
 
 def test_long_call_cycle_found(tmp_path):
