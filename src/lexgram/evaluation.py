@@ -28,7 +28,7 @@ from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from .concord import ConcordanceLine
 from .errors import EmptyGold, EmptySystem, MalformedGold, ZeroRecall
 from .lexicon import CASE_FOLD, PN_FEATURE, LexIndex, lookup
-from .source import content_lines, read_text
+from .source import content_lines, natural, read_text
 
 LABELS = ("PN", "SVC")
 OVERLAP = "overlap"
@@ -88,8 +88,12 @@ def load_gold(path: str) -> list[GoldSpan]:
         if len(fields) != 6:
             raise MalformedGold("gold line needs 6 tab-separated fields", lineno, str(path))
         doc_id, start, end, label, annotator, head = fields
+        start_byte, end_byte = natural(start), natural(end)
+        if start_byte is None or end_byte is None:
+            bad = start if start_byte is None else end
+            raise MalformedGold(f"bad byte offset {bad!r}", lineno, str(path))
         try:
-            spans.append(GoldSpan(doc_id, int(start), int(end), label, annotator, head))
+            spans.append(GoldSpan(doc_id, start_byte, end_byte, label, annotator, head))
         except ValueError as err:
             raise MalformedGold(str(err), lineno, str(path)) from err
     return spans

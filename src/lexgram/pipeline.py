@@ -52,7 +52,7 @@ from .lexicon import (
     load_lexicon,
 )
 from .rtn import POLICIES, Grammar, Graph, Match, flatten, load_grammar, locate
-from .source import content_lines, read_text
+from .source import content_lines, natural, read_text
 from .textproc import TaggedText, tag, tokenize
 
 _LIST_KEYS = {"lexicon", "lemmas", "paradigms", "pn_grammar", "svc_grammar",
@@ -155,12 +155,10 @@ def parse_config(path: str) -> RunConfig:
     cfg.policy = values.get("policy", cfg.policy)
     if cfg.policy not in POLICIES:
         raise ConfigError(f"bad policy {cfg.policy!r}")
-    try:
-        cfg.width = int(values.get("width", str(cfg.width)))
-    except ValueError:
-        raise ConfigError(f"bad width {values['width']!r}") from None
-    if cfg.width < 0:
-        raise ConfigError("width must be >= 0")
+    width = natural(values.get("width", str(cfg.width)))
+    if width is None:
+        raise ConfigError(f"bad width {values['width']!r}")
+    cfg.width = width
     cfg.case_policy = values.get("case_policy", cfg.case_policy)
     if cfg.case_policy not in CASE_POLICIES:
         raise ConfigError(f"bad case_policy {cfg.case_policy!r}")

@@ -30,17 +30,27 @@ code and unified with whatever the group already recorded on this path;
 analyses lacking an attribute unify with anything.
 
 Flattening inlines every call with fresh state ids, connected by epsilon
-transitions, turning the grammar into one plain finite-state graph.
-``locate`` compiles a flattened graph once and caches the result on it:
-epsilon closures are precomputed for the initial state and every
-consuming-transition target, keeping only finals and states with a
-consuming out-edge; each state's consuming transitions are grouped; and
-what a label makes of a token (``readings``) is memoized per label and
-analysis set, or per surface for literals.  The simulation then runs from
-each start token that some label leaving the initial closure accepts.
-``locate_recursive``, a pushdown simulation over the unflattened grammar,
-stays the reference implementation (the oracle); both must agree on every
-match span and binding.
+transitions, turning the grammar into one plain finite-state graph; a
+grammar whose flattened graph would pass ``FLAT_STATE_LIMIT`` states is
+rejected as malformed.  ``locate`` compiles a flattened graph once and
+caches the result on it: epsilon closures are precomputed for the
+initial state and every consuming-transition target, keeping only finals
+and states with a consuming out-edge; each state's consuming transitions
+are grouped; and what a label makes of a token (``readings``) is
+memoized per label and analysis set, or per surface for literals.
+
+Matching runs a lazily built DFA, as RE2 does.  A DFA state is one
+interned set of (NFA state, bindings) configurations; it stores the
+representative binding of its accepting configurations, computed once,
+and a row of successors per token key (surface, analyses), filled on
+first use, in which ``_DEAD`` marks a token no configuration survives.
+Every start token is tried from the start state (one per seed binding),
+so a token no initial label accepts costs one lookup in its row.  The
+cache holds at most ``DFA_CACHE_LIMIT`` states and row entries per
+compiled graph; past it, every state, row and start state is dropped and
+rebuilt on demand.  ``locate_recursive``, a pushdown simulation over the
+unflattened grammar, stays the reference implementation (the oracle);
+both must agree on every match span and binding.
 """
 from __future__ import annotations
 
@@ -48,13 +58,19 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import CycleError, MalformedGraph, UnresolvedCall
-from .source import content_lines, read_text
+from .source import content_lines, natural, read_text
 from .textproc import TaggedText, TaggedToken
 
 POLICY_LONGEST = "longest"
 POLICY_ALL = "all"
 POLICY_SHORTEST = "shortest"
 POLICIES = (POLICY_LONGEST, POLICY_ALL, POLICY_SHORTEST)
+
+# Most states a flattened graph may have.  Each call site copies its
+# callee, so a chain of graphs that each call the next twice doubles the
+# size per graph; past this limit ``flatten`` refuses instead of filling
+# memory.
+FLAT_STATE_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -146,7 +162,8 @@ class Match:
         return (self.start_token, self.end_token)
 
 
-_GROUP_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+# graph names, call targets and agreement groups
+_NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 _MASK_CORE_RE = re.compile(r"^([A-Za-z0-9]*)((?:[+-][A-Za-z0-9=]+)*)$")
 
 
@@ -158,7 +175,7 @@ def _parse_mask(inner: str, path: str, lineno: int) -> Mask:
     group = None
     if "!" in rest:
         rest, group = rest.split("!", 1)
-        if not _GROUP_RE.match(group):
+        if not _NAME_RE.match(group):
             raise bad("bad agreement group")
     attrs = ""
     if ":" in rest:
@@ -199,10 +216,9 @@ def _parse_label(text: str, path: str, lineno: int) -> Label:
             raise MalformedGraph(path, lineno, "empty literal")
         return Literal(surface, fold=(tail == "~"))
     if text.startswith(":"):
-        name = text[1:]
-        if not name:
-            raise MalformedGraph(path, lineno, "empty call target")
-        return Call(name)
+        if not _NAME_RE.match(text[1:]):
+            raise MalformedGraph(path, lineno, f"bad call target {text!r}")
+        return Call(text[1:])
     if text.startswith("<") and text.endswith(">") and len(text) > 2:
         return _parse_mask(text[1:-1], path, lineno)
     raise MalformedGraph(path, lineno, f"unrecognized label {text!r}")
@@ -277,9 +293,10 @@ def parse_graph_file(text: str, path: str = "<string>") -> list[Graph]:
             name = None
 
     def state_num(token: str, lineno: int) -> int:
-        if not (token.isascii() and token.isdigit()):
+        state = natural(token)
+        if state is None:
             raise MalformedGraph(path, lineno, f"bad state {token!r}")
-        return int(token)
+        return state
 
     for lineno, line in content_lines(text):
         fields = line.split(None, 1)
@@ -290,6 +307,8 @@ def parse_graph_file(text: str, path: str = "<string>") -> list[Graph]:
             if not rest:
                 raise MalformedGraph(path, lineno, "graph needs a name")
             name = rest.strip()
+            if not _NAME_RE.match(name):
+                raise MalformedGraph(path, lineno, f"bad graph name {name!r}")
             start_line = lineno
             init = None
             finals = set()
@@ -392,6 +411,8 @@ def flatten(grammar: Grammar) -> Graph:
     after the caller's own states, in the order of the call transitions,
     each laid out the same way in turn.  The transitions are written in
     one pass over the main graph with an explicit stack of open copies.
+    A grammar whose flattened main graph would pass ``FLAT_STATE_LIMIT``
+    states is rejected before any transition is written.
     """
     order, cycle = _walk_calls(grammar)
     if cycle:
@@ -400,6 +421,10 @@ def flatten(grammar: Grammar) -> Graph:
     for name in order:
         g = grammar.graphs[name]
         size[name] = g.n_states + sum(size[t] for t in g.call_targets())
+    if size[grammar.main] > FLAT_STATE_LIMIT:
+        raise MalformedGraph(f"graph {grammar.main!r}", None,
+                             f"flattens to {size[grammar.main]} states, "
+                             f"above the limit of {FLAT_STATE_LIMIT}")
 
     trans: list[tuple[int, Label, int]] = []
     main = grammar.graphs[grammar.main]
@@ -546,21 +571,88 @@ class _Readings(dict):
         return found
 
 
+# Most DFA states plus successor entries one compiled graph caches.  Token
+# keys form an open alphabet, so the rows are counted with the states; past
+# the limit the whole cache is flushed and refilled on demand, so neither an
+# adversarial grammar nor a large vocabulary grows it without bound.
+DFA_CACHE_LIMIT = 10_000
+
+
+class _State:
+    """One DFA state: a set of (NFA state, bindings) configurations.
+
+    ``final`` is the representative binding of its accepting
+    configurations (None when there is none); ``next`` maps a token key
+    (surface, analyses) to the successor state or ``_DEAD``.
+    """
+
+    __slots__ = ("configs", "final", "next")
+
+    def __init__(self, configs: tuple, final: Bindings | None):
+        self.configs = configs
+        self.final = final
+        self.next: dict = {}
+
+
+_DEAD = _State((), None)  # the empty configuration set: no match goes on
+
+
 @dataclass
 class _Compiled:
-    """A flattened graph prepared for simulation.
+    """A flattened graph prepared for simulation, and its DFA cache.
 
     Closures hold only the states that matter after an epsilon walk:
     finals and states with a consuming out-edge.  ``edges[s]`` lists the
     consuming transitions of ``s`` as (memo, literal?, label, closure of
-    the target); ``first`` holds the (memo, literal?) pairs that can
-    consume a match's first token.
+    the target).  ``states`` interns DFA states by configuration set and
+    ``starts`` holds the start state per seed binding; both are built
+    lazily and flushed together once ``size`` reaches ``DFA_CACHE_LIMIT``.
     """
 
     finals: frozenset[int]
     start: tuple[int, ...]
     edges: list[tuple]
-    first: tuple
+    states: dict = field(default_factory=dict)
+    starts: dict = field(default_factory=dict)
+    size: int = 0
+
+    def _intern(self, configs: dict) -> _State:
+        key = frozenset(configs)
+        state = self.states.get(key)
+        if state is None:
+            ends = [bindings for nfa, bindings in configs if nfa in self.finals]
+            state = self.states[key] = _State(
+                tuple(configs), _representative(ends) if ends else None)
+            self.size += 1
+        return state
+
+    def start_state(self, seed: Bindings) -> _State:
+        state = self.starts.get(seed)
+        if state is None:
+            state = self.starts[seed] = self._intern({(nfa, seed): None for nfa in self.start})
+        return state
+
+    def successor(self, state: _State, key: tuple) -> _State:
+        """The state after consuming a token with ``key``, cached on ``state``."""
+        if self.size >= DFA_CACHE_LIMIT:
+            for old in self.states.values():
+                old.next.clear()
+            self.states.clear()
+            self.starts.clear()
+            self.size = 0
+        surface, analyses = key
+        step: dict[tuple[int, Bindings], None] = {}
+        for nfa, bindings in state.configs:
+            for memo, literal, label, targets in self.edges[nfa]:
+                found = memo[surface if literal else analyses]
+                if found is None:
+                    continue
+                for after in _outcomes(label, found, bindings) if found else (bindings,):
+                    for target in targets:
+                        step[(target, after)] = None
+        nxt = state.next[key] = self._intern(step) if step else _DEAD
+        self.size += 1
+        return nxt
 
 
 def _compile(graph: Graph) -> _Compiled:
@@ -598,10 +690,7 @@ def _compile(graph: Graph) -> _Compiled:
                     memos[label] = _Readings(label)
                 row.append((memos[label], isinstance(label, Literal), label, closure(to)))
         edges.append(tuple(row))
-    start = closure(graph.initial)
-    first = {id(memo): (memo, literal)
-             for state in start for memo, literal, _, _ in edges[state]}
-    return _Compiled(graph.finals, start, edges, tuple(first.values()))
+    return _Compiled(graph.finals, closure(graph.initial), edges)
 
 
 def _compiled(graph: Graph) -> _Compiled:
@@ -610,34 +699,38 @@ def _compiled(graph: Graph) -> _Compiled:
     return graph._matcher
 
 
-def _accepts(m: _Compiled, tagged: TaggedText, start: int, limit: int,
-             seed: Bindings) -> dict[int, Bindings]:
-    """Accepting span ends (exclusive) from one start token up to
-    ``limit``, with the representative binding of each end."""
-    tokens = tagged.tokens
-    edges = m.edges
-    finals = m.finals
-    accepts: dict[int, Bindings] = {}
-    configs = [(state, seed) for state in m.start]
-    pos = start
-    while configs and pos < limit:
-        ttoken = tokens[pos]
-        surface, analyses = ttoken.token.surface, ttoken.analyses
-        step: dict[tuple[int, Bindings], None] = {}
-        for state, bindings in configs:
-            for memo, literal, label, targets in edges[state]:
-                found = memo[surface if literal else analyses]
-                if found is None:
-                    continue
-                for after in _outcomes(label, found, bindings) if found else (bindings,):
-                    for target in targets:
-                        step[(target, after)] = None
-        configs = step
-        pos += 1
-        ends = [bindings for state, bindings in configs if state in finals]
-        if ends:
-            accepts[pos] = _representative(ends)
-    return accepts
+def _accepting(m: _Compiled, keys: list[tuple], sentences, seed: Bindings):
+    """Yield (start, accepts) for every start token from which a span is
+    accepted; ``accepts`` maps each accepting end (exclusive) to its
+    representative binding.
+
+    ``sentences`` holds (starts, limit) pairs: the start indices to try
+    and the index no span may reach past.  A cached transition stays
+    valid after a flush, so a state held here may outlive the cache that
+    made it; only the start state is looked up again, on a miss in its row
+    (a flush empties the rows it drops).
+    """
+    root = m.start_state(seed)
+    for starts, limit in sentences:
+        for start in starts:
+            state = root.next.get(keys[start])
+            if state is None:
+                root = m.start_state(seed)
+                state = m.successor(root, keys[start])
+            if state is _DEAD:
+                continue
+            accepts: dict[int, Bindings] = {}
+            end = start
+            while state is not _DEAD:
+                end += 1
+                if state.final is not None:
+                    accepts[end] = state.final
+                if end == limit:
+                    break
+                key = keys[end]
+                state = state.next.get(key) or m.successor(state, key)
+            if accepts:
+                yield start, accepts
 
 
 def _select(accepts: dict[int, Bindings], policy: str) -> list[int]:
@@ -661,25 +754,20 @@ def _make_match(tagged: TaggedText, start: int, end: int, name: str,
 def locate(flat: Graph, tagged: TaggedText, policy: str = POLICY_LONGEST) -> list[Match]:
     """All matches of a flattened graph over tagged text.
 
-    Simulation runs from every start token whose first token some initial
-    label accepts, never crosses a sentence boundary, and reports spans
-    per policy: the maximal end per start (longest), the minimal one
-    (shortest), or every accepting span (all).  Output is sorted by
-    (start, end).
+    Simulation runs from every start token, never crosses a sentence
+    boundary, and reports spans per policy: the maximal end per start
+    (longest), the minimal one (shortest), or every accepting span (all).
+    A start token no initial label accepts leads from the start state to
+    the cached dead state at once.  Output is sorted by (start, end).
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     m = _compiled(flat)
+    keys = tagged.keys
+    limits = (*tagged.boundaries, len(keys))
+    sentences = zip(map(range, (0, *limits), limits), limits)
     matches: list[Match] = []
-    for start, ttoken in enumerate(tagged.tokens):
-        surface, analyses = ttoken.token.surface, ttoken.analyses
-        for memo, literal in m.first:
-            if memo[surface if literal else analyses] is not None:
-                break
-        else:
-            continue  # no initial label accepts this token
-        limit = tagged.sentence_end(start)
-        accepts = _accepts(m, tagged, start, limit, EMPTY_BINDINGS)
+    for start, accepts in _accepting(m, keys, sentences, EMPTY_BINDINGS):
         for end in _select(accepts, policy):
             matches.append(_make_match(tagged, start, end, flat.name, accepts[end]))
     return matches
@@ -692,9 +780,10 @@ def span_accepts(flat: Graph, tagged: TaggedText, start: int, end: int,
     seed: Bindings = EMPTY_BINDINGS
     if bindings:
         seed = tuple(sorted(dict(bindings).items()))
-    if end > tagged.sentence_end(start):
+    if not 0 <= start < end <= tagged.sentence_end(start):
         return False
-    return end in _accepts(_compiled(flat), tagged, start, end, seed)
+    found = _accepting(_compiled(flat), tagged.keys, [(range(start, start + 1), end)], seed)
+    return any(end in accepts for _, accepts in found)
 
 
 # ---------------------------------------------------------------------------

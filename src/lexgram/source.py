@@ -1,7 +1,8 @@
 """The input-file format every resource reader shares: strict UTF-8 (no
 BOM stripped, no byte replaced), lines broken at LF, CRLF or CR, blank
-lines and ``#`` comments skipped.  A file that cannot be read or decoded
-raises the error its reader names, so each format keeps its exit code.
+lines and ``#`` comments skipped, and numbers written in ASCII digits
+only.  A file that cannot be read or decoded raises the error its reader
+names, so each format keeps its exit code.
 """
 from __future__ import annotations
 
@@ -40,3 +41,10 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield lineno, line
+
+
+def natural(text: str) -> int | None:
+    """``text`` as a non-negative integer when it is ASCII digits only
+    (no sign, underscore, space or other script's digit, all of which
+    ``int`` takes), else None."""
+    return int(text) if text.isascii() and text.isdigit() else None

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import EmptyInput, InvalidEncoding
 from .lexicon import CASE_EXACT, CASE_FOLD, Analysis, LexIndex, lookup, subcategory_analyses
@@ -62,16 +63,23 @@ class TaggedText:
     """Tagged token stream plus the raw text it came from.
 
     ``boundaries`` holds the indices of tokens that begin every sentence
-    after the first, strictly increasing.
+    after the first, strictly increasing.  ``keys`` holds each token's
+    (surface, analyses), what a grammar's labels read of it; equal keys
+    are one tuple, so the matcher's caches hit by identity and a long
+    text holds one tuple per distinct key.
     """
 
     tokens: list[TaggedToken]
     source: str
     boundaries: tuple[int, ...]
     _bounds: list[int] = field(init=False, repr=False)
+    keys: list[tuple[str, frozenset[Analysis]]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._bounds = list(self.boundaries)
+        interned: dict[tuple, tuple] = {}
+        self.keys = [interned.setdefault(key := (tt.token.surface, tt.analyses), key)
+                     for tt in self.tokens]
 
     def sentence_end(self, index: int) -> int:
         """Index one past the last token of the sentence containing ``index``."""
@@ -169,16 +177,18 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _fixed_analysis(token: Token) -> Analysis:
-    """The single analysis of a punctuation or number token."""
-    if token.kind == NUMBER:
-        return Analysis(lemma=token.surface, category="NUM", sem_features=frozenset())
+@lru_cache(maxsize=4096)
+def _fixed_analyses(kind: str, surface: str) -> frozenset[Analysis]:
+    """The one-analysis set of a punctuation or number token, cached so
+    that equal tokens of every text share one set object."""
+    if kind == NUMBER:
+        return frozenset([Analysis(lemma=surface, category="NUM", sem_features=frozenset())])
     feats = set()
-    if token.surface in _OPENERS:
+    if surface in _OPENERS:
         feats.add("OPEN")
-    elif token.surface in _CLOSERS:
+    elif surface in _CLOSERS:
         feats.add("CLOSE")
-    return Analysis(lemma=token.surface, category="PONCT", sem_features=frozenset(feats))
+    return frozenset([Analysis(lemma=surface, category="PONCT", sem_features=frozenset(feats))])
 
 
 def tag(tokens: list[Token], index: LexIndex, source: str,
@@ -189,21 +199,18 @@ def tag(tokens: list[Token], index: LexIndex, source: str,
     sentence-initial tokens and only under the fold policy); punctuation
     gets a PONCT analysis, digit runs a NUM analysis, uncovered words the
     UNKNOWN pseudo-analysis.  Tokens with the same analyses share one set
-    object (the index already returns one set per form), so matchers can
-    memoize per set.  The sentence boundaries are the tokens ``tokenize``
-    marked as opening a sentence.
+    object, in every text (the index returns one set per form, and
+    punctuation and number sets are cached), so matchers can memoize per
+    set.  The sentence boundaries are the tokens ``tokenize`` marked as
+    opening a sentence.
     """
     tagged: list[TaggedToken] = []
-    fixed: dict[tuple[str, str], frozenset[Analysis]] = {}
     for token in tokens:
         if token.kind == WORD:
             policy = case_policy if token.sentence_initial else CASE_EXACT
             analyses = lookup(index, token.surface, policy) or UNKNOWN_ANALYSES
         else:
-            key = (token.kind, token.surface)
-            analyses = fixed.get(key)
-            if analyses is None:
-                analyses = fixed[key] = frozenset([_fixed_analysis(token)])
+            analyses = _fixed_analyses(token.kind, token.surface)
         tagged.append(TaggedToken(token, analyses))
     boundaries = tuple(i for i, token in enumerate(tokens) if token.opens_sentence)
     return TaggedText(tagged, source, boundaries)

@@ -133,6 +133,52 @@ def test_non_ascii_state_number_exit_code(tmp_path, capsys):
     assert "MalformedGraph" in err and "line 4" in err
 
 
+def test_flatten_state_limit_exit_code(tmp_path, capsys):
+    (tmp_path / "ok.dic").write_text("le,le.DET:ms\n")
+    # 31 graphs, each calling the next twice: about 5.4e9 flattened states
+    chain = "".join(f"graph G{k}\ninit 0\nfinal 2\ntrans 0 1 :G{k + 1}\n"
+                    f"trans 1 2 :G{k + 1}\n" for k in range(30))
+    (tmp_path / "g.grm").write_text(chain + "graph G30\ninit 0\nfinal 1\ntrans 0 1 <DET>\n")
+    (tmp_path / "d.txt").write_text("Bonjour.\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lexicon = ok.dic\npn_grammar = g.grm\nsvc_grammar = g.grm\n"
+                   "corpus = d.txt\nout = out\n")
+    code, _, err = run_cli(capsys, "run", "-c", str(cfg))
+    assert code == 4
+    assert "MalformedGraph" in err and "5368709117 states" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("width", ["1_0", "+2", "-1", "\u0661\u0662", "4 0", "0x10"])
+def test_width_in_ascii_digits_only(tmp_path, capsys, width):
+    (tmp_path / "ok.dic").write_text("le,le.DET:ms\n")
+    (tmp_path / "g.grm").write_text("graph G\ninit 0\nfinal 1\ntrans 0 1 <DET>\n")
+    (tmp_path / "d.txt").write_text("Le chat.\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lexicon = ok.dic\npn_grammar = g.grm\nsvc_grammar = g.grm\n"
+                   f"corpus = d.txt\nwidth = {width}\nout = out\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", "-c", str(cfg))
+    assert code == 2
+    assert "ConfigError" in err and "bad width" in err
+
+
+@pytest.mark.parametrize("offset", ["1_0", "+2", " 2", "2 ", "\u0661", "-0"])
+def test_gold_offsets_in_ascii_digits_only(tmp_path, capsys, offset):
+    for name, payload in [
+        ("ok.dic", "le,le.DET:ms\n"),
+        ("g.grm", "graph G\ninit 0\nfinal 1\ntrans 0 1 <DET>\n"),
+        ("d.txt", "Le chat.\n"),
+        ("gold.tsv", f"d\t0\t2\tPN\tE1\tle\nd\t{offset}\t8\tPN\tE1\tchat\n"),
+    ]:
+        (tmp_path / name).write_text(payload, encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lexicon = ok.dic\npn_grammar = g.grm\nsvc_grammar = g.grm\n"
+                   "corpus = d.txt\ngold = gold.tsv\nout = out\n")
+    code, _, err = run_cli(capsys, "run", "-c", str(cfg))
+    assert code == 6
+    assert "MalformedGold" in err and "bad byte offset" in err and "line 2" in err
+
+
 def test_out_names_existing_file_is_config_error(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")

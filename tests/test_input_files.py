@@ -10,18 +10,19 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from lexgram.cli import main
-from lexgram.errors import LexgramError, MalformedEntry
+from lexgram.errors import LexgramError, MalformedEntry, MalformedGraph
 from lexgram.evaluation import load_gold
 from lexgram.inflect import load_lemma_entries, load_paradigms, parse_lemma_entry
 from lexgram.lexicon import load_lexicon, parse_entry
 from lexgram.pipeline import RunConfig, load_corpus, parse_config
-from lexgram.rtn import load_grammar
+from lexgram.rtn import load_grammar, parse_graph_file
 from lexgram.source import content_lines, read_text
 
 # a complete run on which every reader has one file; `run` exits 0 on it
@@ -67,7 +68,8 @@ FRAGMENTS = {
                   "\r", "#"],
     "g.grm": ["graph ", "G", "H", "init ", "final ", "trans ", "0 ", "1 ", "2 ", "<DET>",
               "<N>", "<le.DET+PN-NCA:ms!g>", "<N!g>", ":G", ":H", "<E>", '"chat"',
-              '"Le"~', "<", ">", "!", " ", "\n", "\r\n", "#"],
+              '"Le"~', "<", ">", "!", " ", "\n", "\r\n", "#", "  # c", "G # c",
+              ":G   # call", "_", "-", "\u00c9"],
     "gold.tsv": ["d", "\t", "0", "7", "-3", "PN", "SVC", "E1", "E2", "chat", " ", "\n",
                  "\r", "#"],
     "d.txt": ["Le", "chat", "dort", "le", ".", " ", "'", "l'", "-", "12", "\n", "\r",
@@ -141,6 +143,33 @@ def test_reader_fuzz(name, data):
     assert code == exit_code if rejected else code in ACCEPTED.get(name, (0, exit_code, 6))
     assert (code == 0) == (err == "")
     assert "Traceback" not in err
+
+
+_NAME_CHARS = st.one_of(st.sampled_from(list("Gg09_-#:. \t~\u00c9\u0663\xa0")),
+                       st.characters(blacklist_categories=("Cs",),
+                                     blacklist_characters="\r\n"))
+
+
+@given(name=st.text(_NAME_CHARS, max_size=8))
+def test_graph_names_and_call_targets(name):
+    """A graph name or a call target is ASCII letters, digits, ``_`` and
+    ``-``; anything else, a trailing comment included, is rejected.  The
+    blanks around a graph name and after a label do not count."""
+    def accepts(text):
+        try:
+            return parse_graph_file(text)[0]
+        except MalformedGraph:
+            return None
+
+    def valid(text):
+        return re.fullmatch(r"[A-Za-z0-9_-]+", text) is not None
+
+    graph = accepts(f"graph {name}\ninit 0\nfinal 1\ntrans 0 1 <DET>\n")
+    assert (graph is not None) == valid(name.strip())
+    assert graph is None or graph.name == name.strip()
+    caller = accepts(f"graph G\ninit 0\nfinal 1\ntrans 0 1 :{name}\n")
+    assert (caller is not None) == valid(name.rstrip())
+    assert caller is None or caller.call_targets() == [name.rstrip()]
 
 
 @given(st.one_of(st.text(), _built_from("base.dic"), _built_from("nouns.lem")))

@@ -30,10 +30,15 @@ _WORDS = ["le", "la", "les", "une", "ce", "débat", "vol", "pêche", "grande",
 _PUNCT = [".", ",", "(", ")"]
 
 
-def random_tagged(rng: random.Random):
+# tokens whose analysis set another surface shares: sentence-initial
+# capitals fold to the lowercase form's set, unknown words share UNKNOWN's
+_SHARED_SET_WORDS = ["Le", "La", "Vol", "Zzz", "yyy"]
+
+
+def random_tagged(rng: random.Random, words: list[str] = _WORDS):
     parts = []
     for _ in range(rng.randrange(1, 12)):
-        parts.append(rng.choice(_WORDS + _PUNCT if rng.random() < 0.9 else _PUNCT))
+        parts.append(rng.choice(words + _PUNCT if rng.random() < 0.9 else _PUNCT))
     text = " ".join(parts)
     return tag(tokenize(text), _INDEX, text)
 
@@ -106,6 +111,64 @@ def test_compiled_matcher_equals_reference(rng):
         assert direct == reference, policy
     for m in locate(graph, tagged, "all"):
         assert span_accepts(graph, tagged, m.start_token, m.end_token, m.bindings)
+
+
+def _matches(graph, tagged, policy):
+    return [(m.span, m.bindings) for m in locate(graph, tagged, policy)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_cached_dfa_reused_across_texts_equals_reference(rng):
+    """One compiled graph, its DFA cache kept, located over several texts
+    in turn under every policy: each result equals the reference's."""
+    graph = random_flat_graph(rng)
+    grammar = Grammar({"R": graph}, "R")
+    for _ in range(rng.randrange(2, 6)):
+        tagged = random_tagged(rng, _WORDS + _SHARED_SET_WORDS)
+        for policy in ("longest", "all", "shortest"):
+            reference = [(m.span, m.bindings)
+                         for m in locate_recursive(grammar, tagged, policy)]
+            assert _matches(graph, tagged, policy) == reference, policy
+
+
+@pytest.mark.parametrize("limit", [1, 2])
+def test_tiny_dfa_cache_gives_identical_results(monkeypatch, limit, all_grammar_files,
+                                                tagged_docs):
+    """Flushing the cache at every step or every other one changes no
+    span or binding, and keeps the cache within the limit."""
+    from lexgram import rtn
+    from lexgram.rtn import flatten, load_grammar
+    cases = [(flatten(load_grammar([path])), tagged) for path in all_grammar_files
+             for _, tagged in tagged_docs]
+    rng = random.Random(314159)
+    cases += [(random_flat_graph(rng), random_tagged(rng, _WORDS + _SHARED_SET_WORDS))
+              for _ in range(200)]
+    expected = [[_matches(graph, tagged, policy) for policy in ("longest", "all", "shortest")]
+                for graph, tagged in cases]
+    monkeypatch.setattr(rtn, "DFA_CACHE_LIMIT", limit)
+    for (graph, tagged), want in zip(cases, expected):
+        graph._matcher = None
+        got = [_matches(graph, tagged, policy) for policy in ("longest", "all", "shortest")]
+        assert got == want
+        assert graph._matcher.size <= limit + 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_span_accepts_replays_after_locate_fills_the_cache(rng):
+    """After ``locate`` has filled the cache, ``span_accepts`` holds for
+    exactly the spans ``all`` reports, and for each with its bindings."""
+    graph = random_flat_graph(rng)
+    tagged = random_tagged(rng, _WORDS + _SHARED_SET_WORDS)
+    found = locate(graph, tagged, "all")
+    spans = {m.span for m in found}
+    for m in found:
+        assert span_accepts(graph, tagged, m.start_token, m.end_token, m.bindings)
+    n = len(tagged.tokens)
+    for start in range(n):
+        for end in range(start + 1, n + 1):
+            assert span_accepts(graph, tagged, start, end) == ((start, end) in spans)
 
 
 # surfaces of fixture entries, with capitalized variants, and a non-word

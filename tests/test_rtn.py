@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from lexgram import rtn
 from lexgram.errors import CycleError, MalformedGraph, UnresolvedCall
 from lexgram.lexicon import build_index, parse_entry
 from lexgram.rtn import (
@@ -74,6 +75,12 @@ def test_unresolved_call(tmp_path):
     ("graph A\ninit 0\nfinal 1\ntrans 0 1 \"unclosed\n", "unterminated literal"),
     ("graph A\ninit 0\nfinal 1\ntrans 0 \u00b2 <N>\n", "superscript digit as state"),
     ("graph A\ninit \u0661\nfinal 1\ntrans 1 2 <N>\n", "non-ASCII digit as state"),
+    ("graph A # c\ninit 0\nfinal 1\ntrans 0 1 <N>\n", "graph name with trailing comment"),
+    ("graph A.B\ninit 0\nfinal 1\ntrans 0 1 <N>\n", "dot in graph name"),
+    ("graph A\ninit 0\nfinal 1\ntrans 0 1 :B   # call\n", "call with trailing comment"),
+    ("graph A\ninit 0\nfinal 1\ntrans 0 1 :B C\n", "space in call target"),
+    ("graph A\ninit 0\nfinal 1\ntrans 0 1 :\u00c9\n", "non-ASCII call target"),
+    ("graph A\ninit 0\nfinal 1\ntrans 0 1 :\n", "empty call target"),
 ])
 def test_malformed_graphs(text, reason):
     with pytest.raises(MalformedGraph):
@@ -215,6 +222,35 @@ def test_flatten_two_call_sites_copy_twice():
     grammar = load_grammar([fixture_path("grammars", "extra", "twocalls.grm")])
     flat = flatten(grammar)
     assert flat.n_states == 3 + 2 + 2
+
+
+def _doubling_chain(n):
+    """Graphs G0 .. G<n-1>, each calling the next one twice in a row;
+    the last one reads <DET>."""
+    parts = [f"graph G{k}\ninit 0\nfinal 2\ntrans 0 1 :G{k + 1}\ntrans 1 2 :G{k + 1}\n"
+             for k in range(n - 1)]
+    parts.append(f"graph G{n - 1}\ninit 0\nfinal 1\ntrans 0 1 <DET>\n")
+    return "".join(parts)
+
+
+def test_flatten_refuses_a_grammar_past_the_state_limit():
+    grammar = _grammar(*parse_graph_file(_doubling_chain(31)))
+    with pytest.raises(MalformedGraph) as err:
+        flatten(grammar)
+    # 3 states per calling graph plus two copies of its callee: 5 * 2**30 - 3
+    assert "5368709117 states" in str(err.value)
+    assert f"limit of {rtn.FLAT_STATE_LIMIT}" in str(err.value)
+
+
+def test_flatten_state_limit_is_inclusive(monkeypatch):
+    grammar = _grammar(*parse_graph_file(_doubling_chain(4)))
+    size = flatten(grammar).n_states
+    assert size == 5 * 2 ** 3 - 3
+    monkeypatch.setattr(rtn, "FLAT_STATE_LIMIT", size)
+    assert flatten(grammar).n_states == size
+    monkeypatch.setattr(rtn, "FLAT_STATE_LIMIT", size - 1)
+    with pytest.raises(MalformedGraph, match=f"flattens to {size} states"):
+        flatten(grammar)
 
 
 # -- label matching ----------------------------------------------------------------

@@ -128,6 +128,19 @@ def test_tag_open_punct():
     assert "OPEN" in analysis.sem_features
 
 
+def test_equal_tokens_share_one_analysis_set_and_key_in_every_text():
+    index = small_index()
+    texts = ["le débat ( 12 ) . le débat", "Le débat , le débat ( 12 ) ."]
+    first, second = (tag(tokenize(text), index, text) for text in texts)
+    by_surface = {}
+    for tagged in (first, second):
+        for tt, key in zip(tagged.tokens, tagged.keys):
+            assert key == (tt.token.surface, tt.analyses)
+            assert by_surface.setdefault(tt.token.surface, tt.analyses) is tt.analyses
+        # within one text, equal keys are one tuple
+        assert len({id(key) for key in tagged.keys}) == len(set(tagged.keys))
+
+
 def test_tag_folds_only_sentence_initial():
     text = "Débat. On Débat."
     tagged = tag(tokenize(text), small_index(), text)
