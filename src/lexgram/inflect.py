@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import LemmaTooShort, MalformedEntry, MalformedParadigm, UnknownParadigm
-from .lexicon import _TAG_ALPHABET, LexEntry, _scan_tag, load_entries, scan_head
+from .lexicon import _TAG, LexEntry, _scan_tag, load_entries, scan_head
 from .source import content_lines, read_text
 
 DELETE_OP = "L"
@@ -72,7 +72,7 @@ def _parse_rule(text: str) -> Rule:
     ops_part, code = text.rsplit(":", 1)
     code = code.strip()
     ops = tuple(ops_part.split())
-    if not ops or not code or not set(code) <= _TAG_ALPHABET:
+    if not ops or not code or not _TAG.fullmatch(code):
         raise MalformedParadigm(text)
     for op in ops:
         if ":" in op:
@@ -171,7 +171,7 @@ def parse_lemma_entry(line: str) -> LemmaEntry:
     lemma, category, features, k = scan_head(raw, 0)
     if k >= len(raw) or raw[k] != ":":
         raise MalformedEntry("missing paradigm name", k + 1)
-    name, k2 = _scan_tag(raw, k + 1, _TAG_ALPHABET)
+    name, k2 = _scan_tag(raw, k + 1, _TAG)
     if not name:
         raise MalformedEntry("empty paradigm name", k + 2)
     if k2 < len(raw):

@@ -15,9 +15,10 @@ becomes one analysis at indexing time.
 """
 from __future__ import annotations
 
-import string
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import MalformedEntry
 from .source import content_lines, read_text
@@ -31,20 +32,46 @@ PN_FEATURE = "PN"
 SV_LINK_PREFIX = "SV="
 
 _ESCAPED = ",.+:\\"
-_TAG_ALPHABET = frozenset(string.ascii_letters + string.digits + "=-")
-_CATEGORY_ALPHABET = frozenset(string.ascii_letters + string.digits + "-")
+_MUST_ESCAPE = re.compile(f"[{re.escape(_ESCAPED)}]")
+# The longest run of feature / inflection-code (TAG) or category characters.
+_TAG = re.compile(r"[A-Za-z0-9=-]*")
+_CATEGORY = re.compile(r"[A-Za-z0-9-]*")
 
 
 def _escape(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in _ESCAPED:
-            out.append("\\")
-        out.append(ch)
-    return "".join(out)
+    return _MUST_ESCAPE.sub(r"\\\g<0>", text)
 
 
-@dataclass(frozen=True)
+def _unlinked(features) -> bool:
+    """Whether features carry a support-verb link but not the PN feature."""
+    return (PN_FEATURE not in features
+            and any(f.startswith(SV_LINK_PREFIX) for f in features))
+
+
+@lru_cache(maxsize=4096)
+def _checked_head(category: str, sem_features: tuple[str, ...]) -> tuple[frozenset[str], bool]:
+    """The one feature set of every entry with this category and these
+    features, and whether it links a support verb without PN.  Raises
+    MalformedEntry for a bad category or feature, on every call."""
+    if not category:
+        raise MalformedEntry("empty category")
+    if not _CATEGORY.fullmatch(category):
+        raise MalformedEntry(f"illegal character in category {category!r}")
+    for feat in sem_features:
+        if not feat or not _TAG.fullmatch(feat):
+            raise MalformedEntry(f"illegal feature {feat!r}")
+    features = frozenset(sem_features)
+    return features, _unlinked(features)
+
+
+@lru_cache(maxsize=1024)
+def _check_codes(infl_codes: tuple[str, ...]) -> None:
+    for code in infl_codes:
+        if not code or not _TAG.fullmatch(code):
+            raise MalformedEntry(f"illegal inflection code {code!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class Analysis:
     """One grammatical reading of a surface form."""
 
@@ -54,7 +81,7 @@ class Analysis:
     infl_code: str = ""
 
     def __post_init__(self):
-        if self.pn_link and PN_FEATURE not in self.sem_features:
+        if _unlinked(self.sem_features):
             raise MalformedEntry("support-verb link on an analysis without "
                                  "the PN feature")
 
@@ -79,7 +106,7 @@ class Analysis:
         return "".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexEntry:
     """One inflected-form lexicon line.
 
@@ -98,17 +125,9 @@ class LexEntry:
             raise MalformedEntry("empty surface form")
         if not self.lemma:
             raise MalformedEntry("empty lemma")
-        if not self.category:
-            raise MalformedEntry("empty category")
-        if not set(self.category) <= _CATEGORY_ALPHABET:
-            raise MalformedEntry(f"illegal character in category {self.category!r}")
-        for feat in self.sem_features:
-            if not feat or not set(feat) <= _TAG_ALPHABET:
-                raise MalformedEntry(f"illegal feature {feat!r}")
-        for code in self.infl_codes:
-            if not code or not set(code) <= _TAG_ALPHABET:
-                raise MalformedEntry(f"illegal inflection code {code!r}")
-        if self.pn_link and PN_FEATURE not in self.sem_features:
+        unlinked = _checked_head(self.category, self.sem_features)[1]
+        _check_codes(self.infl_codes)
+        if unlinked:
             raise MalformedEntry("support-verb link on an entry without the PN feature")
 
     @property
@@ -122,11 +141,11 @@ class LexEntry:
 
     def analyses(self) -> tuple[Analysis, ...]:
         """One analysis per inflection code; a code-less entry yields a
-        single analysis with the empty code."""
-        codes = self.infl_codes or ("",)
-        feats = frozenset(self.sem_features)
+        single analysis with the empty code.  Entries with the same category
+        and features share one feature set."""
+        feats = _checked_head(self.category, self.sem_features)[0]
         return tuple(Analysis(self.lemma, self.category, feats, code)
-                     for code in codes)
+                     for code in self.infl_codes or ("",))
 
 
 def _scan_field(line: str, start: int, terminator: str) -> tuple[str, int]:
@@ -135,29 +154,27 @@ def _scan_field(line: str, start: int, terminator: str) -> tuple[str, int]:
     Returns the decoded text and the index of the terminator (or end of
     line when the terminator never appears).
     """
-    out: list[str] = []
-    i = start
     n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch == "\\":
-            if i + 1 >= n or line[i + 1] not in _ESCAPED:
-                raise MalformedEntry("illegal escape", i + 2)
-            out.append(line[i + 1])
-            i += 2
-            continue
-        if ch == terminator:
-            return "".join(out), i
-        out.append(ch)
-        i += 1
-    return "".join(out), n
+    out: list[str] = []
+    i, end = start, -1
+    while True:
+        if end < i:  # first pass, or the terminator found was escaped
+            end = line.find(terminator, i)
+            if end < 0:
+                end = n
+        slash = line.find("\\", i, end)
+        if slash < 0:
+            out.append(line[i:end])
+            return "".join(out), end
+        if slash + 1 >= n or line[slash + 1] not in _ESCAPED:
+            raise MalformedEntry("illegal escape", slash + 2)
+        out += (line[i:slash], line[slash + 1])
+        i = slash + 2
 
 
-def _scan_tag(line: str, start: int, alphabet: frozenset[str]) -> tuple[str, int]:
-    i = start
-    while i < len(line) and line[i] in alphabet:
-        i += 1
-    return line[start:i], i
+def _scan_tag(line: str, start: int, pattern: re.Pattern[str]) -> tuple[str, int]:
+    tag = pattern.match(line, start).group()
+    return tag, start + len(tag)
 
 
 def scan_head(raw: str, start: int) -> tuple[str, str, tuple[str, ...], int]:
@@ -168,12 +185,12 @@ def scan_head(raw: str, start: int) -> tuple[str, str, tuple[str, ...], int]:
         raise MalformedEntry("missing dot after lemma", len(raw) or 1)
     if not lemma:
         raise MalformedEntry("empty lemma", start + 1)
-    category, k = _scan_tag(raw, j + 1, _CATEGORY_ALPHABET)
+    category, k = _scan_tag(raw, j + 1, _CATEGORY)
     if not category:
         raise MalformedEntry("empty category", k + 1)
     features: list[str] = []
     while k < len(raw) and raw[k] == "+":
-        feat, k2 = _scan_tag(raw, k + 1, _TAG_ALPHABET)
+        feat, k2 = _scan_tag(raw, k + 1, _TAG)
         if not feat:
             raise MalformedEntry("empty feature", k + 2)
         if feat not in features:
@@ -195,7 +212,7 @@ def parse_entry(line: str) -> LexEntry:
     lemma, category, features, k = scan_head(raw, i + 1)
     codes: list[str] = []
     while k < len(raw) and raw[k] == ":":
-        code, k2 = _scan_tag(raw, k + 1, _TAG_ALPHABET)
+        code, k2 = _scan_tag(raw, k + 1, _TAG)
         if not code:
             raise MalformedEntry("empty inflection code", k + 2)
         if code not in codes:
@@ -238,68 +255,43 @@ def load_lexicon(path: str) -> list[LexEntry]:
 class LexIndex:
     """Immutable map from surface form to its set of analyses.
 
-    The forms are stored in a character trie, a deterministic acyclic
-    automaton whose accepting nodes carry the analysis sets.  Built once,
+    One hash map from each form to one frozenset of its analyses: lookup
+    is exact-match only, so no prefix structure is needed.  Built once,
     then safely shared across concurrent readers; lookup is pure.
     """
 
-    __slots__ = ("_root", "num_entries", "num_forms", "num_analyses")
+    __slots__ = ("_forms", "num_entries", "num_analyses")
 
-    _PAYLOAD = ""  # child key reserved for the analysis set of an accepting node
-
-    def __init__(self, root: dict, num_entries: int, num_forms: int,
+    def __init__(self, forms: dict[str, frozenset[Analysis]], num_entries: int,
                  num_analyses: int):
-        self._root = root
+        self._forms = forms
         self.num_entries = num_entries
-        self.num_forms = num_forms
         self.num_analyses = num_analyses
 
-    def _walk(self, form: str) -> frozenset[Analysis]:
-        node = self._root
-        for ch in form:
-            node = node.get(ch)
-            if node is None:
-                return frozenset()
-        return node.get(self._PAYLOAD, frozenset())
+    @property
+    def num_forms(self) -> int:
+        return len(self._forms)
+
+    def get(self, form: str) -> frozenset[Analysis]:
+        """The analyses of exactly ``form``; empty when it is not indexed."""
+        return self._forms.get(form, frozenset())
 
     def forms(self) -> list[str]:
         """All indexed surface forms, sorted."""
-        out: list[str] = []
-        stack = [(self._root, "")]
-        while stack:
-            node, prefix = stack.pop()
-            if self._PAYLOAD in node:
-                out.append(prefix)
-            for key in sorted(node, reverse=True):
-                if key != self._PAYLOAD:
-                    stack.append((node[key], prefix + key))
-        return out
+        return sorted(self._forms)
 
     def __contains__(self, form: str) -> bool:
-        return bool(self._walk(form))
+        return form in self._forms
 
 
 def build_index(entries: list[LexEntry]) -> LexIndex:
     """Index a list of entries; identical analyses for a form deduplicate."""
-    root: dict = {}
-    num_analyses = 0
-    accepting: list[dict] = []
+    forms: dict[str, frozenset[Analysis]] = {}
     for entry in entries:
-        node = root
-        for ch in entry.form:
-            node = node.setdefault(ch, {})
-        payload = node.get(LexIndex._PAYLOAD)
-        if payload is None:
-            payload = set()
-            node[LexIndex._PAYLOAD] = payload
-            accepting.append(node)
-        for analysis in entry.analyses():
-            if analysis not in payload:
-                payload.add(analysis)
-                num_analyses += 1
-    for node in accepting:
-        node[LexIndex._PAYLOAD] = frozenset(node[LexIndex._PAYLOAD])
-    return LexIndex(root, len(entries), len(accepting), num_analyses)
+        analyses = frozenset(entry.analyses())
+        known = forms.get(entry.form)
+        forms[entry.form] = analyses if known is None else known | analyses
+    return LexIndex(forms, len(entries), sum(map(len, forms.values())))
 
 
 def in_subcategory(features, subcat: str) -> bool:
@@ -326,7 +318,7 @@ def lookup(index: LexIndex, form: str, case_policy: str = CASE_EXACT,
         raise ValueError("lookup of an empty form")
     if case_policy not in CASE_POLICIES:
         raise ValueError(f"unknown case policy {case_policy!r}")
-    found = index._walk(form)
+    found = index.get(form)
     if subcat is not None:
         found = subcategory_analyses(found, subcat)
     if found or case_policy == CASE_EXACT or not form[0].isupper():

@@ -48,7 +48,7 @@ class Token:
     opens_sentence: bool = False  # begins a sentence after the first one
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedToken:
     token: Token
     analyses: frozenset[Analysis]
@@ -72,20 +72,18 @@ class TaggedText:
     tokens: list[TaggedToken]
     source: str
     boundaries: tuple[int, ...]
-    _bounds: list[int] = field(init=False, repr=False)
     keys: list[tuple[str, frozenset[Analysis]]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._bounds = list(self.boundaries)
         interned: dict[tuple, tuple] = {}
         self.keys = [interned.setdefault(key := (tt.token.surface, tt.analyses), key)
                      for tt in self.tokens]
 
     def sentence_end(self, index: int) -> int:
         """Index one past the last token of the sentence containing ``index``."""
-        at = bisect_right(self._bounds, index)
-        if at < len(self._bounds):
-            return self._bounds[at]
+        at = bisect_right(self.boundaries, index)
+        if at < len(self.boundaries):
+            return self.boundaries[at]
         return len(self.tokens)
 
     def source_bytes(self) -> bytes:
