@@ -38,8 +38,10 @@ CRITERIA = (OVERLAP, EXACT)
 ROUNDINGS = ("half-up", "half-even")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GoldSpan:
+    """One gold annotation line; never mutated once loaded."""
+
     doc_id: str
     start_byte: int
     end_byte: int

@@ -8,6 +8,22 @@ punctuation token.  A sentence boundary falls after ``.`` ``!`` ``?``
 followed by at least one space, tab, CR or LF and an uppercase letter;
 ``tokenize`` finds the boundaries once and marks them on the tokens.
 
+One compiled regex proposes the runs: a run of letters and digits
+(``str.isalnum``) joined by single hyphens or apostrophes, or any one
+other non-space character.  A run that ``str.isalpha`` accepts whole is
+one word, one that ``str.isdigit`` accepts is one number, and a lone
+character is punctuation; any other run (``L'entretien``, ``3e``,
+``x²``, ``½``) goes through the character loop ``_scan`` alone.  The two
+agree because every run's ends are token ends for the loop: no word or
+number token holds a space or a character outside the run alphabet, and
+a hyphen or apostrophe that the loop keeps inside a word sits between
+two letters, which the regex joins too.  For ``str`` patterns ``re``
+takes ``\\w`` and ``\\s`` from the same Unicode database as
+``str.isalnum`` and ``str.isspace``, so the agreement holds under every
+Python version; ``_`` is a ``\\w`` character and is excluded by name.
+Byte offsets are the character offsets when the text is ASCII; otherwise
+only the gaps and surfaces that are not ASCII are encoded.
+
 Tagging attaches every analysis the lexicon has for a token; ambiguity is
 deliberately never pruned.  Words the lexicon does not cover get the
 UNKNOWN pseudo-analysis so downstream code can treat the token stream as
@@ -15,7 +31,9 @@ fully annotated.
 """
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -34,11 +52,16 @@ _SENTENCE_FINAL = (".", "!", "?")
 _BOUNDARY_SPACE = (" ", "\t", "\r", "\n")
 _OPENERS = "([{«"
 _CLOSERS = ")]}»"
+# A run of letters and digits joined by single hyphens or apostrophes, or
+# one other non-space character.
+_CANDIDATE = re.compile(r"[^\W_]+(?:[-'’][^\W_]+)*|\S")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
-    """A source span; offsets are byte positions into the UTF-8 text."""
+    """A source span; offsets are byte positions into the UTF-8 text.
+
+    Tagged texts share their tokens, so a token is never mutated."""
 
     surface: str
     start: int
@@ -48,8 +71,11 @@ class Token:
     opens_sentence: bool = False  # begins a sentence after the first one
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TaggedToken:
+    """A token and its analyses.  ``restrict_tagging`` shares instances
+    across texts, so a tagged token is never mutated."""
+
     token: Token
     analyses: frozenset[Analysis]
 
@@ -90,26 +116,24 @@ class TaggedText:
         return self.source.encode("utf-8")
 
 
-def _scan(text: str) -> list[tuple[int, int, str]]:
-    """Raw token spans as (start_char, end_char, kind)."""
+def _scan(run: str) -> list[tuple[int, int, str]]:
+    """The character loop: token spans of ``run`` as (start, end, kind).
+
+    ``tokenize`` calls it on the proposed runs that are neither all
+    letters nor all digits, such as elisions (``L'entretien``), ``3e``
+    or ``x²``."""
     raws: list[tuple[int, int, str]] = []
-    i, n = 0, len(text)
+    i, n = 0, len(run)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
+        ch = run[i]
         if ch.isalpha():
             j = i + 1
             while j < n:
-                c = text[j]
+                c = run[j]
                 if c.isalpha():
                     j += 1
-                elif (c == "-" and text[j - 1].isalpha()
-                      and j + 1 < n and text[j + 1].isalpha()):
-                    j += 1
-                elif (c in _APOSTROPHES and text[j - 1].isalpha()
-                      and j + 1 < n and text[j + 1].isalpha()):
+                elif ((c == "-" or c in _APOSTROPHES) and run[j - 1].isalpha()
+                      and j + 1 < n and run[j + 1].isalpha()):
                     j += 1
                 else:
                     break
@@ -118,7 +142,7 @@ def _scan(text: str) -> list[tuple[int, int, str]]:
             while True:
                 cut = -1
                 for off in range(s, j):
-                    if text[off] in _APOSTROPHES:
+                    if run[off] in _APOSTROPHES:
                         cut = off
                         break
                 if cut != -1 and cut - s in (1, 2):
@@ -131,7 +155,7 @@ def _scan(text: str) -> list[tuple[int, int, str]]:
             i = j
         elif ch.isdigit():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and run[j].isdigit():
                 j += 1
             raws.append((i, j, NUMBER))
             i = j
@@ -139,6 +163,22 @@ def _scan(text: str) -> list[tuple[int, int, str]]:
             raws.append((i, i + 1, PUNCT))
             i += 1
     return raws
+
+
+def _spans(text: str) -> Iterator[tuple[int, int, str]]:
+    """Token spans of ``text`` as (start_char, end_char, kind), in order."""
+    for match in _CANDIDATE.finditer(text):
+        run = match.group()
+        if run.isalpha():
+            yield match.start(), match.end(), WORD
+        elif run.isdigit():
+            yield match.start(), match.end(), NUMBER
+        elif len(run) == 1:
+            yield match.start(), match.end(), PUNCT
+        else:
+            at = match.start()
+            for s, e, kind in _scan(run):
+                yield at + s, at + e, kind
 
 
 def _boundary_after(text: str, k: int) -> bool:
@@ -151,26 +191,29 @@ def _boundary_after(text: str, k: int) -> bool:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Tokens with byte offsets, sentence openings and sentence-initial words.
-
-    Byte offsets grow token by token: only the text between consecutive
-    token boundaries is encoded.
-    """
+    """Tokens with byte offsets, sentence openings and sentence-initial words."""
     if not isinstance(text, str):
         raise InvalidEncoding("tokenize expects decoded text")
     tokens: list[Token] = []
+    ascii_text = text.isascii()  # then byte offsets are char offsets
     pos = byte = 0  # char and byte offset of the end of the previous token
     opens = False  # whether the next token opens a sentence
     awaiting = True  # the first word token of every sentence is sentence-initial
-    for cs, ce, kind in _scan(text):
-        if cs > pos:
-            byte += len(text[pos:cs].encode("utf-8"))
+    for cs, ce, kind in _spans(text):
         surface = text[cs:ce]
-        start, byte, pos = byte, byte + len(surface.encode("utf-8")), ce
+        if ascii_text:
+            start, end = cs, ce
+        else:
+            if cs > pos:
+                gap = text[pos:cs]
+                byte += len(gap) if gap.isascii() else len(gap.encode("utf-8"))
+            start = byte
+            byte += ce - cs if surface.isascii() else len(surface.encode("utf-8"))
+            end, pos = byte, ce
         awaiting = awaiting or opens
         initial = awaiting and kind == WORD
         awaiting = awaiting and not initial
-        tokens.append(Token(surface, start, byte, kind, initial, opens))
+        tokens.append(Token(surface, start, end, kind, initial, opens))
         opens = kind == PUNCT and surface in _SENTENCE_FINAL and _boundary_after(text, ce)
     return tokens
 

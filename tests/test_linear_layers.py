@@ -1,5 +1,6 @@
-"""The sorted sweeps, bounded windows and single walks against the
-all-pairs, whole-text and recursive versions they replaced.
+"""The sorted sweeps, bounded windows, single walks and the regex-proposed
+tokenizer against the all-pairs, whole-text, recursive and
+character-by-character versions they replaced.
 
 The old versions live here only, as references: every property asserts
 that the new code gives exactly what the old code gave.
@@ -16,7 +17,7 @@ from lexgram.evaluation import CRITERIA, EXACT, GoldSpan, align, in_lexicon_reca
 from lexgram.lexicon import CASE_FOLD, PN_FEATURE, build_index, lookup, parse_entry
 from lexgram.rtn import (EPSILON, Call, Grammar, Graph, Literal, Match,
                          check_recursion, flatten)
-from lexgram.textproc import PUNCT, WORD, _scan, tag, tokenize
+from lexgram.textproc import NUMBER, PUNCT, WORD, Token, _boundary_after, tag, tokenize
 
 CASES = 500
 
@@ -201,6 +202,113 @@ def test_concordance_windows_at_multibyte_edges():
                 == concordance_whole_text(matches, tagged, width, "d"))
 
 
+# -- tokenizer ----------------------------------------------------------------------
+
+def scan_by_character(text):
+    """Raw token spans as (start_char, end_char, kind), one character at a time."""
+    raws = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isalpha():
+            j = i + 1
+            while j < n:
+                c = text[j]
+                if c.isalpha():
+                    j += 1
+                elif (c == "-" and text[j - 1].isalpha()
+                      and j + 1 < n and text[j + 1].isalpha()):
+                    j += 1
+                elif (c in ("'", "’") and text[j - 1].isalpha()
+                      and j + 1 < n and text[j + 1].isalpha()):
+                    j += 1
+                else:
+                    break
+            # elision rule: 1-2 letter prefix before an apostrophe splits off
+            s = i
+            while True:
+                cut = -1
+                for off in range(s, j):
+                    if text[off] in ("'", "’"):
+                        cut = off
+                        break
+                if cut != -1 and cut - s in (1, 2):
+                    raws.append((s, cut + 1, WORD))
+                    s = cut + 1
+                else:
+                    break
+            if s < j:
+                raws.append((s, j, WORD))
+            i = j
+        elif ch.isdigit():
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            raws.append((i, j, NUMBER))
+            i = j
+        else:
+            raws.append((i, i + 1, PUNCT))
+            i += 1
+    return raws
+
+
+def tokenize_by_character(text):
+    """Tokens from the character scan, encoding every gap and surface."""
+    tokens = []
+    pos = byte = 0
+    opens = False
+    awaiting = True
+    for cs, ce, kind in scan_by_character(text):
+        if cs > pos:
+            byte += len(text[pos:cs].encode("utf-8"))
+        surface = text[cs:ce]
+        start, byte, pos = byte, byte + len(surface.encode("utf-8")), ce
+        awaiting = awaiting or opens
+        initial = awaiting and kind == WORD
+        awaiting = awaiting and not initial
+        tokens.append(Token(surface, start, byte, kind, initial, opens))
+        opens = kind == PUNCT and surface in (".", "!", "?") and _boundary_after(text, ce)
+    return tokens
+
+
+def _assert_tokens_match(text):
+    def fields(tokens):
+        return [(t.surface, t.start, t.end, t.kind, t.sentence_initial, t.opens_sentence)
+                for t in tokens]
+    assert fields(tokenize(text)) == fields(tokenize_by_character(text))
+
+
+# Where the proposing regex and str's predicates could part: "_" is \w but
+# not alphanumeric; "²" is a digit but not decimal; "½", "Ⅻ" are numeric
+# only; "٣" is a non-ASCII decimal; a combining mark is neither; NBSP, \f,
+# \v and EM SPACE are spaces but no boundary space; apostrophes and hyphens
+# join runs and elisions split them.
+_TOKEN_PIECES = ["_", "²", "½", "Ⅻ", "٣", "\u0301", "\u00a0", "\f", "\v", "\u2003",
+                 "'", "’", "-", "--", "l'", "qu'", "l’", "\U0001d400", "\U00010400",
+                 "É", "Œ", "Ça", "é", "a", "le", "Le", "entre", "3", "12", "3e",
+                 ".", "!", "?", ",", "«", " ", "\n", "\t"]
+
+
+@settings(max_examples=CASES, deadline=None)
+@given(pieces=st.lists(st.one_of(st.sampled_from(_TOKEN_PIECES),
+                                 st.characters(exclude_categories=("Cs",))),
+                       max_size=40))
+def test_tokenize_equals_character_scan(pieces):
+    _assert_tokens_match("".join(pieces))
+
+
+@pytest.mark.parametrize("text", [
+    "L'entretien d'un qu'il a-b a-2 x_y 3e 12. Fin! Le 2-3 mai -- rien.",   # all ASCII
+    "L’entretien. Été ² ½ Ⅻ ٣٣ e\u0301 \U0001d400\U0001d400 «Œuvre»\u00a0fin.\u2003Là.",
+    "",
+])
+def test_tokenize_fixed_cases(text):
+    _assert_tokens_match(text)
+
+
 # -- sentence boundaries --------------------------------------------------------------
 
 def sentence_starts_from_bytes(source_bytes, spans, surfaces):
@@ -227,7 +335,7 @@ def sentence_starts_from_bytes(source_bytes, spans, surfaces):
 def tokenize_with_table(text):
     """(surface, start, end, kind, sentence_initial) per token, with byte
     offsets from a per-character table, and the sentence starts."""
-    raws = _scan(text)
+    raws = scan_by_character(text)
     byte_of = [0] * (len(text) + 1)
     total = 0
     for pos, ch in enumerate(text):
