@@ -38,10 +38,8 @@ CRITERIA = (OVERLAP, EXACT)
 ROUNDINGS = ("half-up", "half-even")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class GoldSpan:
-    """One gold annotation line; never mutated once loaded."""
-
     doc_id: str
     start_byte: int
     end_byte: int

@@ -42,13 +42,8 @@ def _escape(text: str) -> str:
     return _MUST_ESCAPE.sub(r"\\\g<0>", text)
 
 
-@lru_cache(maxsize=4096)
-def _unlinked(features: frozenset[str]) -> bool:
-    """Whether features carry a support-verb link but not the PN feature.
-
-    Memoized per feature set: ``_checked_head`` gives every entry with the
-    same head one set object, so the analyses built from it hit by
-    identity and the link is scanned once per head."""
+def _unlinked(features) -> bool:
+    """Whether features carry a support-verb link but not the PN feature."""
     return (PN_FEATURE not in features
             and any(f.startswith(SV_LINK_PREFIX) for f in features))
 

@@ -21,8 +21,8 @@ two letters, which the regex joins too.  For ``str`` patterns ``re``
 takes ``\\w`` and ``\\s`` from the same Unicode database as
 ``str.isalnum`` and ``str.isspace``, so the agreement holds under every
 Python version; ``_`` is a ``\\w`` character and is excluded by name.
-Byte offsets are the character offsets when the text is ASCII; otherwise
-only the gaps and surfaces that are not ASCII are encoded.
+Byte offsets grow token by token, and only the gaps and surfaces that
+are not ASCII are encoded.
 
 Tagging attaches every analysis the lexicon has for a token; ambiguity is
 deliberately never pruned.  Words the lexicon does not cover get the
@@ -195,25 +195,20 @@ def tokenize(text: str) -> list[Token]:
     if not isinstance(text, str):
         raise InvalidEncoding("tokenize expects decoded text")
     tokens: list[Token] = []
-    ascii_text = text.isascii()  # then byte offsets are char offsets
     pos = byte = 0  # char and byte offset of the end of the previous token
     opens = False  # whether the next token opens a sentence
     awaiting = True  # the first word token of every sentence is sentence-initial
     for cs, ce, kind in _spans(text):
         surface = text[cs:ce]
-        if ascii_text:
-            start, end = cs, ce
-        else:
-            if cs > pos:
-                gap = text[pos:cs]
-                byte += len(gap) if gap.isascii() else len(gap.encode("utf-8"))
-            start = byte
-            byte += ce - cs if surface.isascii() else len(surface.encode("utf-8"))
-            end, pos = byte, ce
+        if cs > pos:
+            gap = text[pos:cs]
+            byte += len(gap) if gap.isascii() else len(gap.encode("utf-8"))
+        start, pos = byte, ce
+        byte += ce - cs if surface.isascii() else len(surface.encode("utf-8"))
         awaiting = awaiting or opens
         initial = awaiting and kind == WORD
         awaiting = awaiting and not initial
-        tokens.append(Token(surface, start, end, kind, initial, opens))
+        tokens.append(Token(surface, start, byte, kind, initial, opens))
         opens = kind == PUNCT and surface in _SENTENCE_FINAL and _boundary_after(text, ce)
     return tokens
 
