@@ -5,25 +5,29 @@ verb-grammar match span contains it (token containment inside one
 sentence; verb matches never cross sentence boundaries, so containment
 implies the same sentence).  A match contained in several verb spans
 still counts once: the statistics are per occurrence.  Containment is
-decided per document with one bisection per noun match into the verb
-spans sorted by start token.
+decided with one bisection per noun match into the verb spans sorted by
+start token.
 
-Each per-subcategory row locates that subcategory's grammars over the
-tagged corpus restricted to the subcategory (``textproc.restrict_tagging``).
-A noun listed under two subcategories is counted in both rows, so
-subcategory counts may sum above the global row.
+Each per-subcategory row locates that subcategory's grammars once over
+the whole corpus, its documents joined into one matcher input whose keys
+``textproc.RestrictedKeys`` restricts to the subcategory.  Every document
+start is a sentence boundary there, so no match crosses a document and
+the counts equal per-document ones summed.  A noun listed under two
+subcategories is counted in both rows, so subcategory counts may sum
+above the global row.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from . import evaluation
 from .errors import LexgramError
 from .lexicon import CASE_FOLD, SUBCATEGORIES, LexIndex
 from .rtn import Graph, Match, locate
-from .textproc import TaggedText, restrict_tagging
+from .textproc import RestrictedKeys, TaggedText, TaggedToken
 
 ALL_SCOPE = "all"
 
@@ -96,6 +100,16 @@ class SubcatRow:
     corrected_ratio: float | None = None
 
 
+class _Corpus(NamedTuple):
+    """Documents joined into one matcher input: what ``locate`` reads of a
+    tagged text.  Token indices run over the whole corpus, byte offsets stay
+    those of each token's own document."""
+
+    tokens: list[TaggedToken]
+    keys: list[tuple]
+    boundaries: tuple[int, ...]
+
+
 def _ratio(part: int, whole: int) -> float:
     return part / whole if whole else 0.0
 
@@ -124,16 +138,27 @@ def by_subcategory(tagged_docs: list[tuple[str, TaggedText]], overall: Classifie
         (p_pn, r_pn), (p_svc, r_svc) = correction
         return evaluation.corrected_proportion(pn, p_pn, r_pn, svc, p_svc, r_svc)
 
+    tokens: list[TaggedToken] = []
+    keys: list[tuple] = []
+    boundaries: list[int] = []
+    initials: list[int] = []
+    for _, tagged in tagged_docs:
+        at = len(tokens)
+        if at and tagged.tokens:
+            boundaries.append(at)
+        boundaries.extend(at + i for i in tagged.boundaries)
+        initials.extend(at + i for i in tagged.initials)
+        tokens += tagged.tokens
+        keys += tagged.keys
+    corpus = _Corpus(tokens, keys, tuple(boundaries))
+
     rows: list[SubcatRow] = []
     for subcat in subcats:
         pn_g = pn_by_subcat.get(subcat, pn_flat)
         svc_g = svc_by_subcat.get(subcat, svc_flat)
-        memo: dict = {}
-        parts = []
-        for _, tagged in tagged_docs:
-            view = restrict_tagging(tagged, index, subcat, case_policy, memo)
-            parts.append(classify_pn(locate(pn_g, view, policy), locate(svc_g, view, policy)))
-        counts = combine(parts)
+        view = corpus._replace(keys=RestrictedKeys(index, subcat, case_policy)
+                               .restrict(keys, initials))
+        counts = classify_pn(locate(pn_g, view, policy), locate(svc_g, view, policy))
         rows.append(SubcatRow(subcat, counts.pn_total,
                               _ratio(counts.pn_total, overall.pn_total),
                               counts.pn_with_sv,

@@ -56,28 +56,19 @@ class GoldSpan:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Alignment counts plus the quantities of the correction formula."""
+    """Alignment counts and the precision and recall they give."""
 
     matched: int
     gold_total: int
     system_total: int
     p: float
     r: float
-    n: int | None = None
-    n_prime: float | None = None
 
     def __post_init__(self):
         if self.matched > min(self.gold_total, self.system_total):
             raise ValueError("matched exceeds a total")
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.r <= 1.0):
             raise ValueError("precision/recall outside [0, 1]")
-        if self.n is not None and self.n_prime is not None and self.r > 0.0:
-            if abs(self.n_prime - self.n * self.p / self.r) > 1e-9:
-                raise ValueError("corrected count inconsistent with n * p / r")
-
-    def with_correction(self, n: int) -> "Metrics":
-        return Metrics(self.matched, self.gold_total, self.system_total,
-                       self.p, self.r, n, bias_correct(n, self.p, self.r))
 
 
 def load_gold(path: str) -> list[GoldSpan]:

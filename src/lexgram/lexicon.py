@@ -86,12 +86,6 @@ class Analysis:
                                  "the PN feature")
 
     @property
-    def pn_link(self) -> frozenset[str]:
-        """Support-verb lemmas licensed by a predicative-noun entry."""
-        return frozenset(f[len(SV_LINK_PREFIX):] for f in self.sem_features
-                         if f.startswith(SV_LINK_PREFIX))
-
-    @property
     def sort_key(self) -> tuple:
         return (self.lemma, self.category, tuple(sorted(self.sem_features)),
                 self.infl_code)
@@ -133,11 +127,6 @@ class LexEntry:
     @property
     def is_pn(self) -> bool:
         return PN_FEATURE in self.sem_features
-
-    @property
-    def pn_link(self) -> frozenset[str]:
-        return frozenset(f[len(SV_LINK_PREFIX):] for f in self.sem_features
-                         if f.startswith(SV_LINK_PREFIX))
 
     def analyses(self) -> tuple[Analysis, ...]:
         """One analysis per inflection code; a code-less entry yields a
@@ -279,9 +268,6 @@ class LexIndex:
     def forms(self) -> list[str]:
         """All indexed surface forms, sorted."""
         return sorted(self._forms)
-
-    def __contains__(self, form: str) -> bool:
-        return form in self._forms
 
 
 def build_index(entries: list[LexEntry]) -> LexIndex:

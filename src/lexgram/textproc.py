@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -73,8 +73,9 @@ class Token:
 
 @dataclass(slots=True)
 class TaggedToken:
-    """A token and its analyses.  ``restrict_tagging`` shares instances
-    across texts, so a tagged token is never mutated."""
+    """A token and its analyses.  The per-subcategory matcher input of
+    ``classify.by_subcategory`` shares instances with the tagged texts, so a
+    tagged token is never mutated."""
 
     token: Token
     analyses: frozenset[Analysis]
@@ -89,7 +90,8 @@ class TaggedText:
     """Tagged token stream plus the raw text it came from.
 
     ``boundaries`` holds the indices of tokens that begin every sentence
-    after the first, strictly increasing.  ``keys`` holds each token's
+    after the first, strictly increasing, and ``initials`` those of the
+    sentence-initial words, increasing too.  ``keys`` holds each token's
     (surface, analyses), what a grammar's labels read of it; equal keys
     are one tuple, so the matcher's caches hit by identity and a long
     text holds one tuple per distinct key.
@@ -98,6 +100,7 @@ class TaggedText:
     tokens: list[TaggedToken]
     source: str
     boundaries: tuple[int, ...]
+    initials: tuple[int, ...]
     keys: list[tuple[str, frozenset[Analysis]]] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -241,48 +244,72 @@ def tag(tokens: list[Token], index: LexIndex, source: str,
     opening a sentence.
     """
     tagged: list[TaggedToken] = []
+    initials: list[int] = []
     for token in tokens:
         if token.kind == WORD:
-            policy = case_policy if token.sentence_initial else CASE_EXACT
+            if token.sentence_initial:
+                initials.append(len(tagged))
+                policy = case_policy
+            else:
+                policy = CASE_EXACT
             analyses = lookup(index, token.surface, policy) or UNKNOWN_ANALYSES
         else:
             analyses = _fixed_analyses(token.kind, token.surface)
         tagged.append(TaggedToken(token, analyses))
     boundaries = tuple(i for i, token in enumerate(tokens) if token.opens_sentence)
-    return TaggedText(tagged, source, boundaries)
+    return TaggedText(tagged, source, boundaries, tuple(initials))
 
 
-def restrict_tagging(tagged: TaggedText, index: LexIndex, subcat: str,
-                     case_policy: str = CASE_FOLD,
-                     memo: dict | None = None) -> TaggedText:
-    """``tagged`` as tagged against ``filter_subcategory(entries, subcat)``,
-    where ``index`` holds all the entries and tagged it.
+class RestrictedKeys(dict):
+    """Token keys as tagged against ``index`` -> the same tokens' keys as
+    tagged against ``filter_subcategory(entries, subcat)``, where ``index``
+    holds all the entries.  Filled on first use, so one map serves every
+    text tagged against ``index`` under ``case_policy``.
 
-    Each token keeps the analyses ``in_subcategory`` keeps; a sentence-initial
-    word left with none is looked up again (the fold policy retries its
-    lowercased form), and a word still without any becomes UNKNOWN.  Equal
-    restricted sets are one object, so the matcher's memos hit by identity;
-    ``memo`` carries them across the documents of one subcategory.
+    A key keeps the analyses ``in_subcategory`` keeps, and becomes UNKNOWN
+    when none are left; a key that keeps them all maps to itself.  That is
+    the whole restriction except at a sentence-initial word left UNKNOWN,
+    which ``restrict`` looks up again (the fold policy retries its
+    lowercased form).  A restricted key restricts to itself, so the map
+    also interns: equal restricted keys are one tuple and equal restricted
+    sets one object, and the matcher's caches hit by identity.
     """
-    memo = {} if memo is None else memo
 
-    def kept(analyses: frozenset[Analysis]) -> frozenset[Analysis]:
-        found = memo.get(analyses)
+    def __init__(self, index: LexIndex, subcat: str, case_policy: str):
+        super().__init__()
+        self._index, self._subcat, self._case_policy = index, subcat, case_policy
+        self._sets: dict[frozenset[Analysis], frozenset[Analysis]] = {}
+
+    def _kept(self, analyses: frozenset[Analysis]) -> frozenset[Analysis]:
+        found = self._sets.get(analyses)
         if found is None:
-            own = subcategory_analyses(analyses, subcat)
+            own = subcategory_analyses(analyses, self._subcat) or UNKNOWN_ANALYSES
             # a restricted set restricts to itself, so one memo also interns
-            found = memo.setdefault(own, analyses if own == analyses else own)
-            memo[analyses] = found
+            found = self._sets.setdefault(own, analyses if own == analyses else own)
+            self._sets[analyses] = found
         return found
 
-    tokens: list[TaggedToken] = []
-    for tt in tagged.tokens:
-        found = kept(tt.analyses)
-        if not found and tt.token.sentence_initial:
-            found = kept(lookup(index, tt.token.surface, case_policy, subcat))
-        tokens.append(tt if found is tt.analyses
-                      else TaggedToken(tt.token, found or UNKNOWN_ANALYSES))
-    return TaggedText(tokens, tagged.source, tagged.boundaries)
+    def _interned(self, surface: str, analyses: frozenset[Analysis]) -> tuple:
+        key = (surface, analyses)
+        return self.setdefault(key, key)
+
+    def __missing__(self, key: tuple) -> tuple:
+        surface, analyses = key
+        kept = self._kept(analyses)
+        found = key if kept is analyses else self._interned(surface, kept)
+        self[key] = found
+        return found
+
+    def restrict(self, keys: list[tuple], initials: Iterable[int]) -> list[tuple]:
+        """The restricted ``keys`` of a text whose sentence-initial words
+        are at the indices ``initials``."""
+        restricted = list(map(self.__getitem__, keys))
+        for i in initials:
+            if restricted[i][1] is UNKNOWN_ANALYSES:
+                surface = keys[i][0]
+                found = lookup(self._index, surface, self._case_policy, self._subcat)
+                restricted[i] = self._interned(surface, self._kept(found))
+        return restricted
 
 
 def tagging_coverage(tagged: TaggedText) -> float:

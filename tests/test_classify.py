@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from lexgram import classify as classify_mod
 from lexgram.classify import (
     ClassifiedCounts,
     by_subcategory,
@@ -9,7 +10,9 @@ from lexgram.classify import (
     combine,
     format_classification,
 )
+from lexgram.lexicon import SUBCATEGORIES
 from lexgram.rtn import Match, flatten, locate
+from lexgram.textproc import tag, tokenize
 
 
 def mk_match(start, end):
@@ -138,3 +141,37 @@ def test_format_classification_layout(subcat_inputs):
     lines = payload.strip().split("\n")
     assert lines[1].startswith("experimental\t12\t4\t3\t9\t0.2500\t25%")
     assert any(line.startswith("NCA\t3\t25%\t1\t33%\t0.3333\t33%\t2") for line in lines)
+
+
+def _subcat_rows(fixture_run, texts):
+    flats = fixture_run.flats
+    tagged_docs = [(f"d{i}", tag(tokenize(t), fixture_run.index, t)) for i, t in enumerate(texts)]
+    overall = combine([classify_pn(locate(flats.pn, t), locate(flats.svc, t))
+                       for _, t in tagged_docs])
+    return by_subcategory(tagged_docs, overall, fixture_run.index, flats.pn, flats.svc,
+                          pn_by_subcat=flats.pn_by_subcat, svc_by_subcat=flats.svc_by_subcat)
+
+
+def test_subcategory_match_never_crosses_documents(fixture_run):
+    # "une" closes one document and "attention" opens the next: joined in
+    # one text, they are an NCA match
+    joined = {r.subcat: r.pn for r in _subcat_rows(fixture_run, ["Bob a prêté une attention."])}
+    assert joined["NCA"] == 1
+    split = _subcat_rows(fixture_run, ["Bob a prêté une", "attention à ce détail."])
+    assert [r.pn for r in split] == [0, 0, 0, 0]
+
+
+def test_by_subcategory_locates_once_per_grammar_and_subcategory(fixture_run, monkeypatch):
+    texts = [f"Marie fait attention à ce détail {i}. Le vol restait sans suite."
+             for i in range(50)]
+    calls = []
+    real = classify_mod.locate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify_mod, "locate", counted)
+    rows = _subcat_rows(fixture_run, texts)
+    assert len(calls) == 2 * len(SUBCATEGORIES)
+    assert {r.subcat: r.pn for r in rows}["NCF"] == 50

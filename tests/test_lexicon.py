@@ -89,12 +89,6 @@ def test_sv_link_requires_pn():
         parse_entry("chat,chat.N+SV=avoir:ms")
 
 
-def test_pn_link_exposed():
-    entry = parse_entry("avis,avis.N+CV+PN+SV=donner+SV=recevoir:ms")
-    assert entry.pn_link == {"donner", "recevoir"}
-    assert entry.analyses()[0].pn_link == {"donner", "recevoir"}
-
-
 # -- serialization ----------------------------------------------------------
 
 def test_serialize_round_trip_is_canonical():
@@ -253,4 +247,4 @@ def test_long_surface_form_indexes_and_lists():
     form = "a" * 3000
     index = build_index([LexEntry(form, "x", "N")])
     assert index.forms() == [form]
-    assert form in index
+    assert index.get(form)

@@ -6,14 +6,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexgram.classify import classify_pn
+from lexgram.classify import by_subcategory, classify_pn, combine
 from lexgram.concord import ConcordanceLine, build_concordance, sort_concordance
 from lexgram.evaluation import bias_correct
 from lexgram.lexicon import (CASE_POLICIES, SUBCATEGORIES, LexEntry, build_index,
                              filter_subcategory, parse_entry)
 from lexgram.rtn import (EPSILON, Grammar, Graph, Literal, Mask, Match, locate,
                          locate_recursive, span_accepts)
-from lexgram.textproc import restrict_tagging, tag, tokenize
+from lexgram.textproc import WORD, RestrictedKeys, tag, tokenize
+
+from conftest import fixture_path
 
 CASES = 1000
 
@@ -198,23 +200,79 @@ def subcat_entries(draw):
 @given(extra=subcat_entries(),
        pieces=st.lists(st.sampled_from(_TEXT_PIECES), max_size=20))
 def test_restricted_tagging_equals_filtered_lexicon(entries, extra, pieces):
-    """Restricting the full tagging to a subcategory equals tagging against
-    the lexicon filtered to that subcategory, token by token."""
+    """Restricting the keys of the full tagging to a subcategory equals
+    tagging against the lexicon filtered to that subcategory, token by
+    token."""
     lexicon = entries + extra
     text = " ".join(pieces)
     tokens = tokenize(text)
     full = build_index(lexicon)
-    for subcat in SUBCATEGORIES:
-        scoped = build_index(filter_subcategory(lexicon, subcat))
-        for policy in CASE_POLICIES:
-            view = restrict_tagging(tag(tokens, full, text, policy), full, subcat, policy)
-            expected = tag(tokens, scoped, text, policy)
-            assert [(t.token, t.analyses) for t in view.tokens] == \
-                [(t.token, t.analyses) for t in expected.tokens], (subcat, policy)
-            assert view.boundaries == expected.boundaries
-            # equal analysis sets are one object, for the matcher's memos
-            assert len({id(t.analyses) for t in view.tokens}) == \
-                len({t.analyses for t in view.tokens})
+    for policy in CASE_POLICIES:
+        tagged = tag(tokens, full, text, policy)
+        assert tagged.initials == tuple(i for i, t in enumerate(tokens) if t.sentence_initial)
+        for subcat in SUBCATEGORIES:
+            scoped = build_index(filter_subcategory(lexicon, subcat))
+            keys = RestrictedKeys(full, subcat, policy).restrict(tagged.keys, tagged.initials)
+            assert keys == tag(tokens, scoped, text, policy).keys, (subcat, policy)
+            # equal keys and equal analysis sets are one object, for the
+            # matcher's caches
+            assert len(set(map(id, keys))) == len(set(keys))
+            assert len({id(k[1]) for k in keys}) == len({k[1] for k in keys})
+
+
+def _corpus_words() -> list[str]:
+    words: set[str] = set()
+    for name in ("doc1.txt", "doc2.txt"):
+        with open(fixture_path("corpus", name), encoding="utf-8") as handle:
+            words.update(t.surface for t in tokenize(handle.read()) if t.kind == WORD)
+    return sorted(words)
+
+
+_CORPUS_WORDS = _corpus_words()
+
+
+# left contexts and heads of the fixture noun grammars, drawn as often as
+# all other pieces together, so that documents often end in a left context
+# and begin with a noun
+_MATCH_PIECES = ["une", "la", "le", "de", "sans", "(", "grande", "attention", "vol",
+                 "pêche", "débat", "avis", "suite", "fait", "donne"]
+
+
+@st.composite
+def corpora(draw):
+    """Documents of 0-12 pieces drawn from fixture words, their capitalized
+    variants and punctuation; a document need not end in punctuation."""
+    piece = st.sampled_from(_MATCH_PIECES) | st.sampled_from(
+        _CORPUS_WORDS + [w.capitalize() for w in _CORPUS_WORDS] + [".", ".", ",", "(", ")"])
+    return [" ".join(draw(st.lists(piece, max_size=12)))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(extra=subcat_entries(), texts=corpora(),
+       policy=st.sampled_from(CASE_POLICIES))
+def test_subcategory_rows_equal_per_document_reference(fixture_run, extra, texts, policy):
+    """The corpus-wide subcategory pass counts what tagging each document
+    against the filtered lexicon, locating in it and summing gives."""
+    lexicon = fixture_run.entries + extra
+    flats = fixture_run.flats
+    full = build_index(lexicon)
+    tagged_docs = [(f"d{i}", tag(tokenize(t), full, t, policy)) for i, t in enumerate(texts)]
+    overall = combine([classify_pn(locate(flats.pn, t), locate(flats.svc, t))
+                       for _, t in tagged_docs])
+    rows = by_subcategory(tagged_docs, overall, full, flats.pn, flats.svc,
+                          pn_by_subcat=flats.pn_by_subcat, svc_by_subcat=flats.svc_by_subcat,
+                          case_policy=policy)
+    for row in rows[:-1]:
+        scoped = build_index(filter_subcategory(lexicon, row.subcat))
+        pn_g, svc_g = flats.pn_by_subcat[row.subcat], flats.svc_by_subcat[row.subcat]
+        parts = []
+        for text in texts:
+            tagged = tag(tokenize(text), scoped, text, policy)
+            parts.append(classify_pn(locate(pn_g, tagged), locate(svc_g, tagged)))
+        want = combine(parts)
+        assert (row.pn, row.svc, row.svc_raw) == \
+            (want.pn_total, want.pn_with_sv, want.svc_total), row.subcat
 
 
 def test_match_line_bijection_randomized():
