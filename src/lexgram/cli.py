@@ -29,6 +29,7 @@ from .errors import (
     UnresolvedCall,
     ZeroRecall,
 )
+from .inflect import expand_lexicon, load_lemma_entries, load_paradigms
 from .lexicon import serialize_entry
 from .textproc import dump_tagged
 
@@ -71,7 +72,10 @@ def _cmd_inflect(args) -> int:
     cfg = _config(args)
     if not cfg.lemmas:
         raise ConfigError("config has no lemma files to inflect")
-    for entry in pipeline.build_entries(replace(cfg, lexicon=[])):
+    paradigms = load_paradigms(cfg.paradigms)
+    entries = [entry for path in cfg.lemmas
+               for entry in expand_lexicon(load_lemma_entries(path), paradigms)]
+    for entry in entries:
         print(serialize_entry(entry))
     return EXIT_OK
 

@@ -17,21 +17,26 @@ Lemma file: one entry per line,
 
 with the same escaping rules as the lexicon format for the lemma part.
 Expanding a lemma entry applies every rule of its paradigm and emits one
-inflected lexicon entry per generated form.
+inflected lexicon entry per generated form.  The run path skips those
+entries: ``lemma_pairs`` checks each lemma row's head once and yields one
+(form, analysis) pair per generated form for ``lexicon.build_index``.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import LemmaTooShort, MalformedEntry, MalformedParadigm, UnknownParadigm
-from .lexicon import _TAG, LexEntry, _scan_tag, load_entries, scan_head
+from .lexicon import _TAG, Analysis, LexEntry, _scan_tag, head_pairs, load_entries, scan_head
 from .source import content_lines, read_text
 
 DELETE_OP = "L"
 NOOP_OP = "<e>"
 
 _HEADER_RE = re.compile(r"^paradigm\s+([A-Za-z0-9=-]+):\s*(.*)$")
+# A lemma line with no escape and every field in its alphabet.  The scanner
+# reads the same fields from every line this matches, and parses all others.
+_LEMMA_LINE = re.compile(r"([^.\\]+)\.([A-Za-z0-9-]+)((?:\+[A-Za-z0-9=-]+)*):([A-Za-z0-9=-]+)")
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,35 @@ class Rule:
 
     ops: tuple[str, ...]
     infl_code: str
+    # The net edit of ``ops``: drop the last ``cut`` characters, then append
+    # ``suffix``.  It equals ``apply`` on lemmas of ``min_len`` characters or
+    # more; ``apply`` raises LemmaTooShort on every shorter one.
+    cut: int = field(init=False, repr=False, compare=False)
+    suffix: str = field(init=False, repr=False, compare=False)
+    min_len: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cut, suffix, growth, min_len = 0, "", 0, 0  # growth: length change so far
+        for op in self.ops:
+            if op == DELETE_OP:
+                min_len = max(min_len, 2 - growth)  # a delete needs two characters
+                growth -= 1
+                if suffix:
+                    suffix = suffix[:-1]
+                else:
+                    cut += 1
+            elif op != NOOP_OP:
+                suffix += op
+                growth += len(op)
+        object.__setattr__(self, "cut", cut)
+        object.__setattr__(self, "suffix", suffix)
+        object.__setattr__(self, "min_len", max(min_len, 1 - growth))
+
+    def edit(self, lemma: str) -> str:
+        """``apply`` by slicing: the same form, or the same LemmaTooShort."""
+        if len(lemma) < self.min_len:
+            return self.apply(lemma)
+        return lemma[:len(lemma) - self.cut] + self.suffix
 
     def apply(self, lemma: str) -> str:
         form = lemma
@@ -150,7 +184,7 @@ def generate(lemma: str, paradigm: Paradigm) -> list[tuple[str, str]]:
         raise LemmaTooShort("empty lemma")
     pairs: list[tuple[str, str]] = []
     for rule in paradigm.rules:
-        pair = (rule.apply(lemma), rule.infl_code)
+        pair = (rule.edit(lemma), rule.infl_code)
         if pair not in pairs:
             pairs.append(pair)
     return pairs
@@ -164,7 +198,17 @@ class LemmaEntry:
     paradigm_name: str
 
 
-def parse_lemma_entry(line: str) -> LemmaEntry:
+def _lemma_row(line: str) -> tuple[str, str, tuple[str, ...], str]:
+    """The fields of a ``LemmaEntry``, read by ``_LEMMA_LINE`` when it
+    matches the whole line and by the scanner otherwise."""
+    match = _LEMMA_LINE.fullmatch(line)
+    if match is None:
+        return _scan_lemma_row(line)
+    lemma, category, features, name = match.groups()
+    return lemma, category, tuple(dict.fromkeys(features.split("+")[1:])), name
+
+
+def _scan_lemma_row(line: str) -> tuple[str, str, tuple[str, ...], str]:
     raw = line.rstrip("\n")
     if raw.endswith("\r"):
         raw = raw[:-1]
@@ -176,11 +220,29 @@ def parse_lemma_entry(line: str) -> LemmaEntry:
         raise MalformedEntry("empty paradigm name", k + 2)
     if k2 < len(raw):
         raise MalformedEntry(f"unexpected character {raw[k2]!r}", k2 + 1)
-    return LemmaEntry(lemma, category, features, name)
+    return lemma, category, features, name
+
+
+def parse_lemma_entry(line: str) -> LemmaEntry:
+    return LemmaEntry(*_lemma_row(line))
 
 
 def load_lemma_entries(path: str) -> list[LemmaEntry]:
     return load_entries(path, parse_lemma_entry)
+
+
+def _inflect(lemma: str, paradigm_name: str,
+             paradigms: dict[str, Paradigm]) -> list[tuple[str, str]]:
+    """``generate`` for one lemma row, its errors naming the row."""
+    paradigm = paradigms.get(paradigm_name)
+    if paradigm is None:
+        raise UnknownParadigm(f"lemma {lemma!r} names unknown paradigm "
+                              f"{paradigm_name!r}")
+    try:
+        return generate(lemma, paradigm)
+    except LemmaTooShort as err:
+        raise LemmaTooShort(f"lemma {lemma!r}, paradigm "
+                            f"{paradigm_name!r}: {err}") from err
 
 
 def expand_lexicon(lemma_entries: list[LemmaEntry],
@@ -189,16 +251,17 @@ def expand_lexicon(lemma_entries: list[LemmaEntry],
     order, so repeated runs are byte-identical."""
     out: list[LexEntry] = []
     for le in lemma_entries:
-        paradigm = paradigms.get(le.paradigm_name)
-        if paradigm is None:
-            raise UnknownParadigm(f"lemma {le.lemma!r} names unknown paradigm "
-                                  f"{le.paradigm_name!r}")
-        try:
-            pairs = generate(le.lemma, paradigm)
-        except LemmaTooShort as err:
-            raise LemmaTooShort(f"lemma {le.lemma!r}, paradigm "
-                                f"{le.paradigm_name!r}: {err}") from err
-        for form, code in pairs:
+        for form, code in _inflect(le.lemma, le.paradigm_name, paradigms):
             out.append(LexEntry(form, le.lemma, le.category,
                                 le.sem_features, (code,)))
+    return out
+
+
+def lemma_pairs(path: str, paradigms: dict[str, Paradigm]) -> list[tuple[str, Analysis]]:
+    """The index pairs of ``expand_lexicon(load_lemma_entries(path),
+    paradigms)``, with the same errors: the whole file is parsed first, then
+    each row is inflected and its head checked once."""
+    out: list[tuple[str, Analysis]] = []
+    for lemma, category, features, name in load_entries(path, _lemma_row):
+        out += head_pairs(lemma, category, features, _inflect(lemma, name, paradigms))
     return out

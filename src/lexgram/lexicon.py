@@ -11,7 +11,9 @@ alphanumerics plus ``=`` and ``-``.
 Support-verb links on predicative-noun entries are plain features of the
 shape ``SV=lemma`` (one per licensed verb), so a single file format covers
 the whole lexicon.  Entries may carry several inflection codes; each code
-becomes one analysis at indexing time.
+becomes one analysis at indexing time.  Generated forms reach the index
+as (form, analysis) pairs, built by ``head_pairs`` after one check of
+their lemma row's head.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ _MUST_ESCAPE = re.compile(f"[{re.escape(_ESCAPED)}]")
 # The longest run of feature / inflection-code (TAG) or category characters.
 _TAG = re.compile(r"[A-Za-z0-9=-]*")
 _CATEGORY = re.compile(r"[A-Za-z0-9-]*")
+_UNLINKED_ENTRY = "support-verb link on an entry without the PN feature"
 
 
 def _escape(text: str) -> str:
@@ -122,7 +125,7 @@ class LexEntry:
         unlinked = _checked_head(self.category, self.sem_features)[1]
         _check_codes(self.infl_codes)
         if unlinked:
-            raise MalformedEntry("support-verb link on an entry without the PN feature")
+            raise MalformedEntry(_UNLINKED_ENTRY)
 
     @property
     def is_pn(self) -> bool:
@@ -133,8 +136,38 @@ class LexEntry:
         single analysis with the empty code.  Entries with the same category
         and features share one feature set."""
         feats = _checked_head(self.category, self.sem_features)[0]
-        return tuple(Analysis(self.lemma, self.category, feats, code)
+        return tuple(_checked_analysis(self.lemma, self.category, feats, code)
                      for code in self.infl_codes or ("",))
+
+
+_set_lemma, _set_category, _set_features, _set_code = (
+    Analysis.__dict__[name].__set__ for name in ("lemma", "category", "sem_features", "infl_code"))
+
+
+def _checked_analysis(lemma: str, category: str, features: frozenset[str],
+                      code: str) -> Analysis:
+    """``Analysis(lemma, category, features, code)`` for features that
+    ``_checked_head`` has passed, without ``__post_init__``'s second link
+    check: the slots are set directly, as the frozen ``__init__`` does."""
+    analysis = object.__new__(Analysis)
+    _set_lemma(analysis, lemma)
+    _set_category(analysis, category)
+    _set_features(analysis, features)
+    _set_code(analysis, code)
+    return analysis
+
+
+def head_pairs(lemma: str, category: str, sem_features: tuple[str, ...],
+               forms: list[tuple[str, str]]) -> list[tuple[str, Analysis]]:
+    """(form, analysis) for each (form, inflection code) of one head: the
+    index pairs of ``LexEntry(form, lemma, category, sem_features, (code,))``
+    for each, with the head checked once and the same error.  The forms and
+    the lemma must be non-empty and the codes legal, as ``generate`` and the
+    paradigm reader ensure."""
+    feats, unlinked = _checked_head(category, sem_features)
+    if unlinked:
+        raise MalformedEntry(_UNLINKED_ENTRY)
+    return [(form, _checked_analysis(lemma, category, feats, code)) for form, code in forms]
 
 
 def _scan_field(line: str, start: int, terminator: str) -> tuple[str, int]:
@@ -270,13 +303,18 @@ class LexIndex:
         return sorted(self._forms)
 
 
-def build_index(entries: list[LexEntry]) -> LexIndex:
-    """Index a list of entries; identical analyses for a form deduplicate."""
+def build_index(entries: list[LexEntry | tuple[str, Analysis]]) -> LexIndex:
+    """Index lexicon entries and (form, analysis) pairs; identical analyses
+    for a form deduplicate.  Each entry and each pair counts as one entry."""
     forms: dict[str, frozenset[Analysis]] = {}
     for entry in entries:
-        analyses = frozenset(entry.analyses())
-        known = forms.get(entry.form)
-        forms[entry.form] = analyses if known is None else known | analyses
+        if type(entry) is tuple:
+            form, analysis = entry
+            analyses = frozenset((analysis,))
+        else:
+            form, analyses = entry.form, frozenset(entry.analyses())
+        known = forms.get(form)
+        forms[form] = analyses if known is None else known | analyses
     return LexIndex(forms, len(entries), sum(map(len, forms.values())))
 
 

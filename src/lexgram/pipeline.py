@@ -41,11 +41,12 @@ from . import classify as classify_mod
 from . import evaluation
 from .concord import ConcordanceLine, build_concordance, format_concordance, sort_concordance
 from .errors import ConfigError, InvalidEncoding
-from .inflect import expand_lexicon, load_lemma_entries, load_paradigms
+from .inflect import lemma_pairs, load_paradigms
 from .lexicon import (
     CASE_FOLD,
     CASE_POLICIES,
     SUBCATEGORIES,
+    Analysis,
     LexEntry,
     LexIndex,
     build_index,
@@ -181,15 +182,17 @@ def parse_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # stages
 
-def build_entries(cfg: RunConfig) -> list[LexEntry]:
-    """Static lexicon files plus the expanded lemma entries, in file order."""
-    entries: list[LexEntry] = []
+def build_entries(cfg: RunConfig) -> list[LexEntry | tuple[str, Analysis]]:
+    """What ``build_index`` indexes, in file order: the entries of the static
+    lexicon files, then one (form, analysis) pair per generated form of the
+    lemma files (``inflect.lemma_pairs``)."""
+    entries: list[LexEntry | tuple[str, Analysis]] = []
     for path in cfg.lexicon:
         entries.extend(load_lexicon(path))
     if cfg.lemmas:
         paradigms = load_paradigms(cfg.paradigms)
         for path in cfg.lemmas:
-            entries.extend(expand_lexicon(load_lemma_entries(path), paradigms))
+            entries.extend(lemma_pairs(path, paradigms))
     return entries
 
 
@@ -326,7 +329,7 @@ class Run:
         self._per_grammar: dict[tuple[str, str], list] = {}
 
     @cached_property
-    def entries(self) -> list[LexEntry]:
+    def entries(self) -> list[LexEntry | tuple[str, Analysis]]:
         return build_entries(self.cfg)
 
     @cached_property

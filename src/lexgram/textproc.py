@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import EmptyInput, InvalidEncoding
-from .lexicon import CASE_EXACT, CASE_FOLD, Analysis, LexIndex, lookup, subcategory_analyses
+from .lexicon import CASE_FOLD, Analysis, LexIndex, lookup, subcategory_analyses
 
 WORD = "word"
 PUNCT = "punct"
@@ -249,10 +249,9 @@ def tag(tokens: list[Token], index: LexIndex, source: str,
         if token.kind == WORD:
             if token.sentence_initial:
                 initials.append(len(tagged))
-                policy = case_policy
+                analyses = lookup(index, token.surface, case_policy) or UNKNOWN_ANALYSES
             else:
-                policy = CASE_EXACT
-            analyses = lookup(index, token.surface, policy) or UNKNOWN_ANALYSES
+                analyses = index.get(token.surface) or UNKNOWN_ANALYSES
         else:
             analyses = _fixed_analyses(token.kind, token.surface)
         tagged.append(TaggedToken(token, analyses))

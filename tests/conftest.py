@@ -6,6 +6,8 @@ import os
 import pytest
 
 from lexgram import pipeline
+from lexgram.inflect import expand_lexicon, load_lemma_entries, load_paradigms
+from lexgram.lexicon import load_lexicon
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO, "fixtures")
@@ -25,9 +27,24 @@ def fixture_run(run_config):
     return pipeline.Run(run_config)
 
 
+def reference_entries(cfg):
+    """A config's lexicon as ``LexEntry`` lines: the static files, then every
+    lemma file expanded, in file order.  It reads the files through
+    ``load_lexicon`` and ``expand_lexicon``, apart from the run path's
+    ``build_entries``, so tests can use it as an oracle."""
+    entries = []
+    for path in cfg.lexicon:
+        entries.extend(load_lexicon(path))
+    if cfg.lemmas:
+        paradigms = load_paradigms(cfg.paradigms)
+        for path in cfg.lemmas:
+            entries.extend(expand_lexicon(load_lemma_entries(path), paradigms))
+    return entries
+
+
 @pytest.fixture(scope="session")
-def entries(fixture_run):
-    return fixture_run.entries
+def entries(run_config):
+    return reference_entries(run_config)
 
 
 @pytest.fixture(scope="session")

@@ -343,3 +343,47 @@ def test_index_on_long_surface_form(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "index", "-c", str(cfg))
     assert code == 0
     assert out == "entries=1\tforms=1\tanalyses=1\n"
+
+
+# Each case: static lexicon lines, paradigm file, lemma files, and the error
+# `lexgram index` must report.  P deletes one character, so it needs a
+# lemma of two.
+_ERROR_ORDER = [
+    # static lexicon errors come before paradigm errors, and those before
+    # lemma parse errors
+    (["nocomma"], "paradigm P: ", [["a.N:P"], ["bad"]],
+     "MalformedEntry: missing comma after surface form (", "s.dic, line 1, column 7)"),
+    ([], "paradigm P: ", [["bad"]], "MalformedParadigm: paradigm 'P' has no rules (", "p.par)"),
+    # a lemma file is parsed whole before any of its rows is inflected
+    ([], "paradigm P: L s:ms", [["a.N:Missing", "ab.N+SV=avoir:P", "bad"]],
+     "MalformedEntry: missing dot after lemma (", "l0.lem, line 3, column 3)"),
+    # and inflected before the next file is read
+    ([], "paradigm P: L s:ms", [["a.N:P"], ["bad"]],
+     "LemmaTooShort: lemma 'a', paradigm 'P': deleting from 'a' would empty the form", ""),
+    # within a row: unknown paradigm, then a lemma too short, then the link
+    ([], "paradigm P: L s:ms", [["a.N+SV=avoir:Missing"]],
+     "UnknownParadigm: lemma 'a' names unknown paradigm 'Missing'", ""),
+    ([], "paradigm P: L s:ms", [["a.N+SV=avoir:P"]], "LemmaTooShort: lemma 'a'", ""),
+    ([], "paradigm P: L s:ms", [["ab.N+SV=avoir:P", "x.N:Missing"]],
+     "MalformedEntry: support-verb link on an entry without the PN feature", ""),
+]
+
+
+@pytest.mark.parametrize("static,paradigms,lemmas,error,where", _ERROR_ORDER)
+def test_lexicon_error_order(tmp_path, capsys, static, paradigms, lemmas, error, where):
+    keys = [f"paradigms = {tmp_path / 'p.par'}",
+            f"pn_grammar = {fixture_path('grammars', 'pn.grm')}",
+            f"svc_grammar = {fixture_path('grammars', 'svc.grm')}",
+            f"corpus = {fixture_path('corpus', '*.txt')}"]
+    (tmp_path / "p.par").write_text(paradigms + "\n", encoding="utf-8")
+    if static:
+        (tmp_path / "s.dic").write_text("\n".join(static) + "\n", encoding="utf-8")
+        keys.append(f"lexicon = {tmp_path / 's.dic'}")
+    for i, rows in enumerate(lemmas):
+        (tmp_path / f"l{i}.lem").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    keys.append("lemmas = " + " ".join(str(tmp_path / f"l{i}.lem") for i in range(len(lemmas))))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(keys) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "index", "-c", str(cfg))
+    assert (code, out) == (3, "")
+    assert err.startswith("lexgram: " + error) and err.rstrip("\n").endswith(where), err

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from lexgram.classify import by_subcategory, classify_pn, combine
 from lexgram.concord import ConcordanceLine, build_concordance, sort_concordance
 from lexgram.evaluation import bias_correct
-from lexgram.lexicon import (CASE_POLICIES, SUBCATEGORIES, LexEntry, build_index,
-                             filter_subcategory, parse_entry)
+from lexgram.lexicon import (CASE_EXACT, CASE_POLICIES, SUBCATEGORIES, LexEntry, build_index,
+                             filter_subcategory, lookup, parse_entry)
 from lexgram.rtn import (EPSILON, Grammar, Graph, Literal, Mask, Match, locate,
                          locate_recursive, span_accepts)
-from lexgram.textproc import WORD, RestrictedKeys, tag, tokenize
+from lexgram.textproc import UNKNOWN_ANALYSES, WORD, RestrictedKeys, tag, tokenize
 
 from conftest import fixture_path
 
@@ -220,6 +220,21 @@ def test_restricted_tagging_equals_filtered_lexicon(entries, extra, pieces):
             assert len({id(k[1]) for k in keys}) == len({k[1] for k in keys})
 
 
+@settings(max_examples=200, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_TEXT_PIECES), max_size=20),
+       policy=st.sampled_from(CASE_POLICIES))
+def test_tag_equals_per_token_lookup(index, pieces, policy):
+    """Each word gets the very set ``lookup`` gives it, under the case
+    policy when it opens a sentence and exactly elsewhere, or UNKNOWN."""
+    text = " ".join(pieces)
+    tokens = tokenize(text)
+    for token, tagged in zip(tokens, tag(tokens, index, text, policy).tokens, strict=True):
+        if token.kind == WORD:
+            want = lookup(index, token.surface,
+                          policy if token.sentence_initial else CASE_EXACT)
+            assert tagged.analyses is (want or UNKNOWN_ANALYSES), token
+
+
 def _corpus_words() -> list[str]:
     words: set[str] = set()
     for name in ("doc1.txt", "doc2.txt"):
@@ -251,10 +266,11 @@ def corpora(draw):
 @settings(max_examples=100, deadline=None)
 @given(extra=subcat_entries(), texts=corpora(),
        policy=st.sampled_from(CASE_POLICIES))
-def test_subcategory_rows_equal_per_document_reference(fixture_run, extra, texts, policy):
+def test_subcategory_rows_equal_per_document_reference(fixture_run, entries, extra, texts,
+                                                       policy):
     """The corpus-wide subcategory pass counts what tagging each document
     against the filtered lexicon, locating in it and summing gives."""
-    lexicon = fixture_run.entries + extra
+    lexicon = entries + extra
     flats = fixture_run.flats
     full = build_index(lexicon)
     tagged_docs = [(f"d{i}", tag(tokenize(t), full, t, policy)) for i, t in enumerate(texts)]
