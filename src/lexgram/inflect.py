@@ -16,10 +16,13 @@ Lemma file: one entry per line,
     lemma "." category ("+" feature)* ":" paradigm_name
 
 with the same escaping rules as the lexicon format for the lemma part.
-Expanding a lemma entry applies every rule of its paradigm and emits one
-inflected lexicon entry per generated form.  The run path skips those
-entries: ``lemma_pairs`` checks each lemma row's head once and yields one
-(form, analysis) pair per generated form for ``lexicon.build_index``.
+Each paradigm reduces its rules once to a plan, the net edit of each rule
+(characters to cut, suffix to append), which ``generate``,
+``expand_lexicon`` and the index all apply.  Expanding a lemma entry
+emits one inflected lexicon entry per distinct (form, code).  The run
+path skips those entries: ``index_lemma_file`` checks each lemma row's
+head once and adds the row to a ``lexicon.FormTable``, which maps each
+generated form to a packed reference to its row and rule.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import LemmaTooShort, MalformedEntry, MalformedParadigm, UnknownParadigm
-from .lexicon import _TAG, Analysis, LexEntry, _scan_tag, head_pairs, load_entries, scan_head
+from .lexicon import _TAG, FormTable, LexEntry, _scan_tag, load_entries, scan_head
 from .source import content_lines, read_text
 
 DELETE_OP = "L"
@@ -45,14 +48,12 @@ class Rule:
 
     ops: tuple[str, ...]
     infl_code: str
-    # The net edit of ``ops``: drop the last ``cut`` characters, then append
-    # ``suffix``.  It equals ``apply`` on lemmas of ``min_len`` characters or
-    # more; ``apply`` raises LemmaTooShort on every shorter one.
-    cut: int = field(init=False, repr=False, compare=False)
-    suffix: str = field(init=False, repr=False, compare=False)
-    min_len: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def net_edit(self) -> tuple[int, str, int]:
+        """``(cut, suffix, min_len)``: drop the last ``cut`` characters, then
+        append ``suffix``.  That equals ``apply`` on lemmas of ``min_len``
+        characters or more; ``apply`` raises LemmaTooShort on every shorter
+        one."""
         cut, suffix, growth, min_len = 0, "", 0, 0  # growth: length change so far
         for op in self.ops:
             if op == DELETE_OP:
@@ -65,15 +66,7 @@ class Rule:
             elif op != NOOP_OP:
                 suffix += op
                 growth += len(op)
-        object.__setattr__(self, "cut", cut)
-        object.__setattr__(self, "suffix", suffix)
-        object.__setattr__(self, "min_len", max(min_len, 1 - growth))
-
-    def edit(self, lemma: str) -> str:
-        """``apply`` by slicing: the same form, or the same LemmaTooShort."""
-        if len(lemma) < self.min_len:
-            return self.apply(lemma)
-        return lemma[:len(lemma) - self.cut] + self.suffix
+        return cut, suffix, max(min_len, 1 - growth)
 
     def apply(self, lemma: str) -> str:
         form = lemma
@@ -96,8 +89,33 @@ class Rule:
 
 @dataclass(frozen=True)
 class Paradigm:
+    """Named rules, and the plan every generated form is read from: each
+    rule's net edit ``(cut, suffix)`` and code, in rule order, and the
+    shortest lemma that every edit takes by slicing (``min_len``)."""
+
     name: str
     rules: tuple[Rule, ...]
+    edits: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
+    codes: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    min_len: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        plan = [rule.net_edit() for rule in self.rules]
+        object.__setattr__(self, "edits", tuple((cut, suffix) for cut, suffix, _ in plan))
+        object.__setattr__(self, "codes", tuple(rule.infl_code for rule in self.rules))
+        object.__setattr__(self, "min_len", max([1] + [n for _, _, n in plan]))
+
+    def forms(self, lemma: str) -> list[str]:
+        """One form per rule, in rule order.  A lemma shorter than
+        ``min_len`` goes through the operator loop, so LemmaTooShort names
+        the first rule it is too short for."""
+        n = len(lemma)
+        if n < self.min_len:
+            if not lemma:
+                raise LemmaTooShort("empty lemma")
+            for rule in self.rules:
+                rule.apply(lemma)
+        return [lemma[:n - cut] + suffix for cut, suffix in self.edits]
 
 
 def _parse_rule(text: str) -> Rule:
@@ -178,16 +196,9 @@ def load_paradigms(paths: list[str]) -> dict[str, Paradigm]:
 
 
 def generate(lemma: str, paradigm: Paradigm) -> list[tuple[str, str]]:
-    """All (form, inflection code) pairs for a lemma, one per rule, in rule
+    """All distinct (form, inflection code) pairs for a lemma, in rule
     order.  Raises LemmaTooShort when a delete would empty the form."""
-    if not lemma:
-        raise LemmaTooShort("empty lemma")
-    pairs: list[tuple[str, str]] = []
-    for rule in paradigm.rules:
-        pair = (rule.edit(lemma), rule.infl_code)
-        if pair not in pairs:
-            pairs.append(pair)
-    return pairs
+    return list(dict.fromkeys(zip(paradigm.forms(lemma), paradigm.codes)))
 
 
 @dataclass(frozen=True)
@@ -232,14 +243,15 @@ def load_lemma_entries(path: str) -> list[LemmaEntry]:
 
 
 def _inflect(lemma: str, paradigm_name: str,
-             paradigms: dict[str, Paradigm]) -> list[tuple[str, str]]:
-    """``generate`` for one lemma row, its errors naming the row."""
+             paradigms: dict[str, Paradigm]) -> tuple[Paradigm, list[str]]:
+    """The paradigm a lemma row names and ``Paradigm.forms`` for its lemma,
+    the errors naming the row."""
     paradigm = paradigms.get(paradigm_name)
     if paradigm is None:
         raise UnknownParadigm(f"lemma {lemma!r} names unknown paradigm "
                               f"{paradigm_name!r}")
     try:
-        return generate(lemma, paradigm)
+        return paradigm, paradigm.forms(lemma)
     except LemmaTooShort as err:
         raise LemmaTooShort(f"lemma {lemma!r}, paradigm "
                             f"{paradigm_name!r}: {err}") from err
@@ -251,17 +263,19 @@ def expand_lexicon(lemma_entries: list[LemmaEntry],
     order, so repeated runs are byte-identical."""
     out: list[LexEntry] = []
     for le in lemma_entries:
-        for form, code in _inflect(le.lemma, le.paradigm_name, paradigms):
+        paradigm, forms = _inflect(le.lemma, le.paradigm_name, paradigms)
+        for form, code in dict.fromkeys(zip(forms, paradigm.codes)):
             out.append(LexEntry(form, le.lemma, le.category,
                                 le.sem_features, (code,)))
     return out
 
 
-def lemma_pairs(path: str, paradigms: dict[str, Paradigm]) -> list[tuple[str, Analysis]]:
-    """The index pairs of ``expand_lexicon(load_lemma_entries(path),
-    paradigms)``, with the same errors: the whole file is parsed first, then
-    each row is inflected and its head checked once."""
-    out: list[tuple[str, Analysis]] = []
+def index_lemma_file(path: str, paradigms: dict[str, Paradigm], table: FormTable) -> None:
+    """Add the rows of a lemma file to ``table``, with the errors of
+    ``expand_lexicon(load_lemma_entries(path), paradigms)``: the whole file
+    is parsed first, then each row is inflected and its head checked once.
+    Paradigm files never repeat a code within a paradigm, so a row's
+    (form, code) pairs are distinct."""
     for lemma, category, features, name in load_entries(path, _lemma_row):
-        out += head_pairs(lemma, category, features, _inflect(lemma, name, paradigms))
-    return out
+        paradigm, forms = _inflect(lemma, name, paradigms)
+        table.add_row(lemma, category, features, paradigm.codes, forms)

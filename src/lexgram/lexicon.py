@@ -12,8 +12,8 @@ Support-verb links on predicative-noun entries are plain features of the
 shape ``SV=lemma`` (one per licensed verb), so a single file format covers
 the whole lexicon.  Entries may carry several inflection codes; each code
 becomes one analysis at indexing time.  Generated forms reach the index
-as (form, analysis) pairs, built by ``head_pairs`` after one check of
-their lemma row's head.
+as packed references into a table of checked lemma rows (``FormTable``);
+the index builds a form's analyses on its first lookup.
 """
 from __future__ import annotations
 
@@ -157,19 +157,6 @@ def _checked_analysis(lemma: str, category: str, features: frozenset[str],
     return analysis
 
 
-def head_pairs(lemma: str, category: str, sem_features: tuple[str, ...],
-               forms: list[tuple[str, str]]) -> list[tuple[str, Analysis]]:
-    """(form, analysis) for each (form, inflection code) of one head: the
-    index pairs of ``LexEntry(form, lemma, category, sem_features, (code,))``
-    for each, with the head checked once and the same error.  The forms and
-    the lemma must be non-empty and the codes legal, as ``generate`` and the
-    paradigm reader ensure."""
-    feats, unlinked = _checked_head(category, sem_features)
-    if unlinked:
-        raise MalformedEntry(_UNLINKED_ENTRY)
-    return [(form, _checked_analysis(lemma, category, feats, code)) for form, code in forms]
-
-
 def _scan_field(line: str, start: int, terminator: str) -> tuple[str, int]:
     """Consume up to an unescaped terminator, resolving escape sequences.
 
@@ -274,48 +261,124 @@ def load_lexicon(path: str) -> list[LexEntry]:
     return load_entries(path, parse_entry)
 
 
-class LexIndex:
-    """Immutable map from surface form to its set of analyses.
+class FormTable:
+    """What ``build_index`` indexes; ``pipeline.build_entries`` returns one.
 
-    One hash map from each form to one frozenset of its analyses: lookup
-    is exact-match only, so no prefix structure is needed.  Built once,
-    then safely shared across concurrent readers; lookup is pure.
+    Each form maps to a frozenset of analyses (static lexicon lines), to
+    one packed reference into the table of checked lemma rows, or to a
+    list of several of these.  A reference is ``row * width + i`` for the
+    ``i``-th rule of the row's paradigm, ``width`` being the largest rule
+    count of any paradigm.  A row is (lemma, category, checked features,
+    the codes of its paradigm's rules).  Each static line and each
+    generated form counts as one entry.
     """
 
-    __slots__ = ("_forms", "num_entries", "num_analyses")
+    __slots__ = ("forms", "rows", "width", "num_entries")
 
-    def __init__(self, forms: dict[str, frozenset[Analysis]], num_entries: int,
-                 num_analyses: int):
-        self._forms = forms
-        self.num_entries = num_entries
-        self.num_analyses = num_analyses
+    def __init__(self, entries: list[LexEntry] = (), width: int = 1):
+        self.forms: dict[str, frozenset[Analysis] | int | list] = {}
+        self.rows: list[tuple[str, str, frozenset[str], tuple[str, ...]]] = []
+        self.width = width
+        self.num_entries = len(entries)
+        forms = self.forms
+        for entry in entries:
+            analyses = frozenset(entry.analyses())
+            known = forms.get(entry.form)
+            forms[entry.form] = analyses if known is None else known | analyses
+
+    def add_row(self, lemma: str, category: str, sem_features: tuple[str, ...],
+                codes: tuple[str, ...], forms: list[str]) -> None:
+        """Index ``forms[i]`` with code ``codes[i]`` for one lemma row: the
+        entries ``LexEntry(forms[i], lemma, category, sem_features,
+        (codes[i],))``, with the head checked once and the same error.  The
+        forms and the lemma must be non-empty and the codes legal and
+        distinct, as the paradigm reader and ``Paradigm.forms`` ensure."""
+        if len(codes) > self.width:
+            raise ValueError(f"{len(codes)} codes in a table {self.width} wide")
+        feats, unlinked = _checked_head(category, sem_features)
+        if unlinked:
+            raise MalformedEntry(_UNLINKED_ENTRY)
+        ref = len(self.rows) * self.width
+        self.rows.append((lemma, category, feats, codes))
+        by_form = self.forms
+        for form in forms:
+            known = by_form.setdefault(form, ref)
+            if known is not ref:
+                if type(known) is list:
+                    known.append(ref)
+                else:
+                    by_form[form] = [known, ref]
+            ref += 1
+        self.num_entries += len(forms)
+
+    def analyses(self, refs: int | list) -> frozenset[Analysis]:
+        """The analysis set of one form's value in ``forms`` that is not a
+        frozenset: a reference, or a list of references and sets."""
+        rows, width = self.rows, self.width
+        out: set[Analysis] = set()
+        for ref in [refs] if type(refs) is int else refs:
+            if type(ref) is int:
+                row, i = divmod(ref, width)
+                lemma, category, feats, codes = rows[row]
+                out.add(_checked_analysis(lemma, category, feats, codes[i]))
+            else:
+                out |= ref
+        return frozenset(out)
+
+
+_NO_ANALYSES: frozenset[Analysis] = frozenset()
+
+
+class LexIndex:
+    """Map from surface form to its set of analyses.
+
+    One hash map from each form to its analyses: lookup is exact-match
+    only, so no prefix structure is needed.  Pure to readers; ``get``
+    fills a form's set on first use.  A generated form holds lemma-row
+    references (see ``FormTable``) until its first ``get`` builds the
+    frozenset and stores it in their place, so every later call for the
+    form returns the same object.
+    """
+
+    __slots__ = ("_table", "_forms", "_num_analyses")
+
+    def __init__(self, table: FormTable):
+        self._table = table
+        self._forms = table.forms
+        self._num_analyses: int | None = None
+
+    @property
+    def num_entries(self) -> int:
+        return self._table.num_entries
 
     @property
     def num_forms(self) -> int:
         return len(self._forms)
 
+    @property
+    def num_analyses(self) -> int:
+        """Distinct analyses summed over the forms; the first read builds
+        every form's set."""
+        if self._num_analyses is None:
+            self._num_analyses = sum(len(self.get(form)) for form in list(self._forms))
+        return self._num_analyses
+
     def get(self, form: str) -> frozenset[Analysis]:
         """The analyses of exactly ``form``; empty when it is not indexed."""
-        return self._forms.get(form, frozenset())
+        found = self._forms.get(form, _NO_ANALYSES)
+        if type(found) is not frozenset:
+            found = self._forms[form] = self._table.analyses(found)
+        return found
 
     def forms(self) -> list[str]:
         """All indexed surface forms, sorted."""
         return sorted(self._forms)
 
 
-def build_index(entries: list[LexEntry | tuple[str, Analysis]]) -> LexIndex:
-    """Index lexicon entries and (form, analysis) pairs; identical analyses
-    for a form deduplicate.  Each entry and each pair counts as one entry."""
-    forms: dict[str, frozenset[Analysis]] = {}
-    for entry in entries:
-        if type(entry) is tuple:
-            form, analysis = entry
-            analyses = frozenset((analysis,))
-        else:
-            form, analyses = entry.form, frozenset(entry.analyses())
-        known = forms.get(form)
-        forms[form] = analyses if known is None else known | analyses
-    return LexIndex(forms, len(entries), sum(map(len, forms.values())))
+def build_index(entries: list[LexEntry] | FormTable) -> LexIndex:
+    """Index lexicon entries, or the ``FormTable`` of ``build_entries``;
+    identical analyses for a form deduplicate."""
+    return LexIndex(entries if type(entries) is FormTable else FormTable(entries))
 
 
 def in_subcategory(features, subcat: str) -> bool:
@@ -351,7 +414,8 @@ def lookup(index: LexIndex, form: str, case_policy: str = CASE_EXACT,
 
 
 def filter_subcategory(entries: list[LexEntry], subcat: str) -> list[LexEntry]:
-    """The entries ``in_subcategory`` keeps."""
+    """The entries ``in_subcategory`` keeps, from a list of ``LexEntry``
+    lines such as ``load_lexicon`` and ``expand_lexicon`` return."""
     if subcat not in SUBCATEGORIES:
         raise ValueError(f"unknown subcategory {subcat!r}")
     return [e for e in entries if in_subcategory(e.sem_features, subcat)]

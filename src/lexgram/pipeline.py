@@ -41,13 +41,12 @@ from . import classify as classify_mod
 from . import evaluation
 from .concord import ConcordanceLine, build_concordance, format_concordance, sort_concordance
 from .errors import ConfigError, InvalidEncoding
-from .inflect import lemma_pairs, load_paradigms
+from .inflect import index_lemma_file, load_paradigms
 from .lexicon import (
     CASE_FOLD,
     CASE_POLICIES,
     SUBCATEGORIES,
-    Analysis,
-    LexEntry,
+    FormTable,
     LexIndex,
     build_index,
     load_lexicon,
@@ -182,18 +181,16 @@ def parse_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # stages
 
-def build_entries(cfg: RunConfig) -> list[LexEntry | tuple[str, Analysis]]:
-    """What ``build_index`` indexes, in file order: the entries of the static
-    lexicon files, then one (form, analysis) pair per generated form of the
-    lemma files (``inflect.lemma_pairs``)."""
-    entries: list[LexEntry | tuple[str, Analysis]] = []
-    for path in cfg.lexicon:
-        entries.extend(load_lexicon(path))
-    if cfg.lemmas:
-        paradigms = load_paradigms(cfg.paradigms)
-        for path in cfg.lemmas:
-            entries.extend(lemma_pairs(path, paradigms))
-    return entries
+def build_entries(cfg: RunConfig) -> FormTable:
+    """What ``build_index`` indexes, read in file order: the static lexicon
+    files, then the paradigm files, then each lemma file
+    (``inflect.index_lemma_file``).  Only ``build_index`` reads it."""
+    static = [entry for path in cfg.lexicon for entry in load_lexicon(path)]
+    paradigms = load_paradigms(cfg.paradigms) if cfg.lemmas else {}
+    table = FormTable(static, max((len(p.rules) for p in paradigms.values()), default=1))
+    for path in cfg.lemmas:
+        index_lemma_file(path, paradigms, table)
+    return table
 
 
 @dataclass
@@ -329,12 +326,8 @@ class Run:
         self._per_grammar: dict[tuple[str, str], list] = {}
 
     @cached_property
-    def entries(self) -> list[LexEntry | tuple[str, Analysis]]:
-        return build_entries(self.cfg)
-
-    @cached_property
     def index(self) -> LexIndex:
-        return build_index(self.entries)
+        return build_index(build_entries(self.cfg))
 
     @cached_property
     def grammars(self) -> GrammarSet:

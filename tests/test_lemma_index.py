@@ -1,11 +1,13 @@
 """Lemma rows indexed directly, against the ``LexEntry`` path they replace.
 
-``pipeline.build_entries`` turns each generated form into one (form,
-analysis) pair after one check of its lemma row's head.
+``pipeline.build_entries`` checks each lemma row's head once and maps
+each generated form to a packed reference into a table of rows; the
+index builds a form's analysis set on its first ``get``.
 ``conftest.reference_entries`` builds the same lexicon as ``LexEntry``
-lines through ``load_lexicon`` and ``expand_lexicon``.  The properties
-below hold the two to the same index and the same errors, a rule's net
-edit to its operator loop, and the lemma-line regex to the scanner.
+lines through ``load_lexicon`` and ``expand_lexicon``, and
+``build_index`` of those is eager.  The properties below hold the two
+to the same index and the same errors, a paradigm's plan to its
+operator loop, and the lemma-line regex to the scanner.
 """
 from __future__ import annotations
 
@@ -16,9 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexgram import inflect, pipeline
-from lexgram.errors import LexgramError, MalformedEntry
-from lexgram.inflect import LemmaEntry, Rule, parse_lemma_entry
-from lexgram.lexicon import Analysis, LexEntry, _escape, build_index, head_pairs
+from lexgram.errors import LemmaTooShort, LexgramError, MalformedEntry
+from lexgram.inflect import LemmaEntry, Paradigm, Rule, generate, parse_lemma_entry
+from lexgram.lexicon import Analysis, FormTable, LexEntry, _escape, build_index
 
 from conftest import fixture_path, reference_entries
 
@@ -33,18 +35,33 @@ def outcome(fn, *args):
         return type(err).__name__, str(err)
 
 
-# -- one rule's net edit -------------------------------------------------------
+# -- a paradigm's plan ---------------------------------------------------------
 
 _OPS = ["L", "L", "<e>", "s", "ux", "e", "elle"]
 
 
+def generate_by_operators(lemma, paradigm):
+    """``generate`` through each rule's operator loop."""
+    if not lemma:
+        raise LemmaTooShort("empty lemma")
+    pairs = []
+    for rule in paradigm.rules:
+        pair = (rule.apply(lemma), rule.infl_code)
+        if pair not in pairs:
+            pairs.append(pair)
+    return pairs
+
+
 @settings(max_examples=CASES * 2, deadline=None)
-@given(ops=st.lists(st.sampled_from(_OPS), max_size=7).map(tuple),
+@given(rules=st.lists(st.tuples(st.lists(st.sampled_from(_OPS), max_size=7).map(tuple),
+                                st.sampled_from(["x", "y", "z"])),
+                      min_size=1, max_size=3),
        lemma=st.text(alphabet="abé", max_size=5))
-def test_rule_edit_equals_apply(ops, lemma):
-    """The same form, or LemmaTooShort with the same message."""
-    rule = Rule(ops, "x")
-    assert outcome(rule.edit, lemma) == outcome(rule.apply, lemma)
+def test_paradigm_forms_equal_apply(rules, lemma):
+    """The same (form, code) pairs, or LemmaTooShort with the same message,
+    for one rule or several, repeated codes included."""
+    paradigm = Paradigm("P", tuple(Rule(ops, code) for ops, code in rules))
+    assert outcome(generate, lemma, paradigm) == outcome(generate_by_operators, lemma, paradigm)
 
 
 # -- the lemma-line regex ------------------------------------------------------
@@ -84,39 +101,46 @@ _CODES = ["ms", "mp", "fs", "fp", "W"]
 
 
 @st.composite
-def paradigm_files(draw):
-    """One to three paradigms P0, P1, ...: rules of operators in any order,
+def paradigm_files(draw, min_paradigms=1, ops=_OPS):
+    """Paradigms P0, P1, ... (up to three): rules of ``ops`` in any order,
     distinct codes in each paradigm."""
     sections = []
-    for n in range(draw(st.integers(1, 3))):
+    for n in range(draw(st.integers(min_paradigms, 3))):
         codes = draw(st.lists(st.sampled_from(_CODES), min_size=1, max_size=4, unique=True))
-        rules = [" ".join(draw(st.lists(st.sampled_from(_OPS), min_size=1, max_size=4)))
+        rules = [" ".join(draw(st.lists(st.sampled_from(ops), min_size=1, max_size=4)))
                  + ":" + code for code in codes]
         sections.append(f"paradigm P{n}: " + " ; ".join(rules))
     return "\n".join(sections) + "\n"
 
 
+@st.composite
+def valid_lemma_lines(draw):
+    """Lemma lines over two letters, so forms collide across rows, that name
+    P0-P2 and link no support verb without PN; a lemma of 2-5 letters may
+    still be too short for a rule."""
+    features = draw(st.lists(st.sampled_from(["PN", "NCA", "Supp", "NCA"]), max_size=3))
+    if "PN" in features and draw(st.booleans()):
+        features.append("SV=avoir")
+    return (draw(st.text(alphabet="ab", min_size=2, max_size=5))
+            + "." + draw(st.sampled_from(["N", "V"]))
+            + "".join("+" + f for f in features) + ":" + draw(st.sampled_from(["P0", "P1", "P2"])))
+
+
 # static lines that share forms, lemmas and codes with generated ones
-_STATIC = ["a,a.N:ms", "as,a.N:mp", "ab,ab.N+PN+NCA:fs:fp", "b,x.V+Supp"]
+_STATIC = ["a,a.N:ms", "as,a.N:mp", "ab,ab.N+PN+NCA:fs:fp", "b,x.V+Supp", "aa,a.V:W",
+           "ba,ab.N:fs", "aba,ab.N:ms", "abs,ab.N:ms"]
 # mostly known paradigms; P3 is never defined
 _NAMES = ("P0", "P0", "P1", "P1", "P2", "P2", "P0", "P3")
 
 
-def _index(build):
-    index = build()
-    return ({form: index.get(form) for form in index.forms()},
-            index.num_entries, index.num_forms, index.num_analyses)
+def _counts(index):
+    return index.num_entries, index.num_forms, index.num_analyses
 
 
-@settings(max_examples=CASES, deadline=None)
-@given(paradigms=paradigm_files(),
-       lemma_files=st.lists(st.lists(lemma_lines(_NAMES), max_size=8), min_size=1, max_size=2),
-       repeat=st.booleans(),
-       static=st.lists(st.sampled_from(_STATIC), max_size=4))
-def test_direct_index_equals_lex_entry_index(paradigms, lemma_files, repeat, static):
-    """Same forms, analysis sets and counts, or the same first error."""
-    if repeat:  # duplicate rows, hence duplicate (form, code) pairs
-        lemma_files = [rows + rows[:2] for rows in lemma_files]
+def _assert_same_index(paradigms, lemma_files, static, data):
+    """Same forms, analysis sets and counts, or the same first error.  The
+    counts agree before any ``get`` and after some; ``get`` agrees in any
+    order, unknown forms included, and returns one object per form."""
     with tempfile.TemporaryDirectory() as root:
         def write(name, lines):
             with open(os.path.join(root, name), "w", encoding="utf-8") as handle:
@@ -132,13 +156,61 @@ def test_direct_index_equals_lex_entry_index(paradigms, lemma_files, repeat, sta
         if static:
             keys.append(f"lexicon = {write('s.dic', static)}")
         cfg = pipeline.parse_config(os.path.join(root, write("run.cfg", keys)))
-        direct = outcome(_index, lambda: build_index(pipeline.build_entries(cfg)))
-        assert direct == outcome(_index, lambda: build_index(reference_entries(cfg)))
+        eager = outcome(lambda: build_index(reference_entries(cfg)))
+        direct = outcome(lambda: build_index(pipeline.build_entries(cfg)))
+        if isinstance(eager, tuple) or isinstance(direct, tuple):  # a lexicon error
+            assert direct == eager
+            return
+        fresh = build_index(pipeline.build_entries(cfg))
+    assert _counts(fresh) == _counts(eager)  # before any get
+    assert direct.forms() == eager.forms()
+    unknown = data.draw(st.lists(st.text(alphabet="abésx", min_size=1, max_size=3), max_size=4))
+    probes = data.draw(st.permutations(eager.forms() + unknown))
+    cut = data.draw(st.integers(0, len(probes)))
+    got = {form: direct.get(form) for form in probes[:cut]}
+    assert _counts(direct) == _counts(eager)  # after some
+    got.update((form, direct.get(form)) for form in probes[cut:])
+    assert got == {form: eager.get(form) for form in probes}
+    assert all(direct.get(form) is got[form] for form in probes)
+    assert _counts(direct) == _counts(eager)
+    assert {form: fresh.get(form) for form in probes} == got
+
+
+@settings(max_examples=CASES, deadline=None)
+@given(paradigms=paradigm_files(),
+       lemma_files=st.lists(st.lists(lemma_lines(_NAMES), max_size=8), min_size=1, max_size=2),
+       repeat=st.booleans(),
+       static=st.lists(st.sampled_from(_STATIC), max_size=4),
+       data=st.data())
+def test_direct_index_equals_lex_entry_index(paradigms, lemma_files, repeat, static, data):
+    """Escaped lemmas, undefined paradigms and unlinked verbs: mostly the
+    same first error."""
+    if repeat:  # duplicate rows, hence duplicate (form, code) pairs
+        lemma_files = [rows + rows[:2] for rows in lemma_files]
+    _assert_same_index(paradigms, lemma_files, static, data)
+
+
+@settings(max_examples=CASES, deadline=None)
+@given(paradigms=paradigm_files(min_paradigms=3, ops=["L", "<e>", "a", "b", "ab", "s"]),
+       lemma_files=st.lists(st.lists(valid_lemma_lines(), min_size=1, max_size=12),
+                            min_size=1, max_size=2),
+       repeat=st.booleans(),
+       static=st.lists(st.sampled_from(_STATIC), max_size=5),
+       data=st.data())
+def test_lazy_index_equals_eager_index(paradigms, lemma_files, repeat, static, data):
+    """Rows that mostly index, so forms hold one reference, several, or
+    references and static analyses together."""
+    if repeat:
+        lemma_files = [rows + rows[:2] for rows in lemma_files]
+    _assert_same_index(paradigms, lemma_files, static, data)
 
 
 def test_fixture_index_equals_lex_entry_index(run_config, entries):
-    assert _index(lambda: build_index(pipeline.build_entries(run_config))) == \
-        _index(lambda: build_index(entries))
+    direct = build_index(pipeline.build_entries(run_config))
+    eager = build_index(entries)
+    assert _counts(direct) == _counts(eager)
+    assert {form: direct.get(form) for form in direct.forms()} == \
+        {form: eager.get(form) for form in eager.forms()}
 
 
 # -- the checks the direct path skips ------------------------------------------
@@ -149,7 +221,7 @@ def test_public_constructors_still_check_the_link():
     constructors still raise for it on every call."""
     unlinked = ("N", ("SV=avoir",))
     with pytest.raises(MalformedEntry) as err:
-        head_pairs("vol", *unlinked, [("vol", "ms")])
+        FormTable().add_row("vol", *unlinked, ("ms",), ["vol"])
     assert err.value.reason == "support-verb link on an entry without the PN feature"
     for _ in range(2):
         with pytest.raises(MalformedEntry):
@@ -157,6 +229,18 @@ def test_public_constructors_still_check_the_link():
         with pytest.raises(MalformedEntry):
             LexEntry("vol", "vol", *unlinked, ("ms",))
     linked = ("N", ("PN", "SV=avoir"))
-    [(form, analysis)] = head_pairs("vol", *linked, [("vols", "mp")])
-    assert (form, analysis) == ("vols", Analysis("vol", "N", frozenset(linked[1]), "mp"))
+    table = FormTable()
+    table.add_row("vol", *linked, ("mp",), ["vols"])
+    [analysis] = build_index(table).get("vols")
+    assert analysis == Analysis("vol", "N", frozenset(linked[1]), "mp")
     assert LexEntry("vols", "vol", *linked, ("mp",)).analyses() == (analysis,)
+
+
+def test_row_wider_than_the_table_is_refused():
+    """A row with more codes than the table's width would share references
+    with the next row."""
+    table = FormTable(width=2)
+    table.add_row("vol", "N", (), ("ms", "mp"), ["vol", "vols"])
+    with pytest.raises(ValueError):
+        table.add_row("vol", "N", (), ("ms", "mp", "fs"), ["vol", "vols", "vole"])
+    assert build_index(table).get("vols") == {Analysis("vol", "N", frozenset(), "mp")}
