@@ -4,30 +4,25 @@ A noun-grammar match counts as accompanied by its support verb when some
 verb-grammar match span contains it (token containment inside one
 sentence; verb matches never cross sentence boundaries, so containment
 implies the same sentence).  A match contained in several verb spans
-still counts once: the statistics are per occurrence.  Containment is
-decided with one bisection per noun match into the verb spans sorted by
-start token.
+still counts once: the statistics are per occurrence.
 
-Each per-subcategory row locates that subcategory's grammars once over
-the whole corpus, its documents joined into one matcher input whose keys
-``textproc.RestrictedKeys`` restricts to the subcategory.  Every document
-start is a sentence boundary there, so no match crosses a document and
-the counts equal per-document ones summed.  A noun listed under two
-subcategories is counted in both rows, so subcategory counts may sum
-above the global row.
+Every scope, the global row and each subcategory row (whose keys
+``textproc.RestrictedKeys`` restricts), counts over the one corpus that
+``textproc.join`` builds.  A noun listed under two subcategories is
+counted in both rows, so subcategory counts may sum above the global
+row.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
 
 from . import evaluation
 from .errors import LexgramError
 from .lexicon import CASE_FOLD, SUBCATEGORIES, LexIndex
 from .rtn import Graph, Match, locate
-from .textproc import RestrictedKeys, TaggedText, TaggedToken
+from .textproc import Corpus, RestrictedKeys
 
 ALL_SCOPE = "all"
 
@@ -53,7 +48,7 @@ class ClassifiedCounts:
 
 
 def classify_pn(pn_matches: list[Match], svc_matches: list[Match]) -> ClassifiedCounts:
-    """Split noun matches over one tagged text by support-verb presence.
+    """Split noun matches over one text or corpus by support-verb presence.
 
     Verb spans are sorted by start token with a running maximum of their
     end tokens: a noun match is contained in some verb span exactly when
@@ -71,14 +66,6 @@ def classify_pn(pn_matches: list[Match], svc_matches: list[Match]) -> Classified
             with_sv += 1
     return ClassifiedCounts(len(pn_matches), len(svc_matches), with_sv,
                             len(pn_matches) - with_sv)
-
-
-def combine(parts: list[ClassifiedCounts]) -> ClassifiedCounts:
-    """Merge per-document counts."""
-    return ClassifiedCounts(sum(p.pn_total for p in parts),
-                            sum(p.svc_total for p in parts),
-                            sum(p.pn_with_sv for p in parts),
-                            sum(p.pn_without_sv for p in parts))
 
 
 @dataclass(frozen=True)
@@ -100,21 +87,11 @@ class SubcatRow:
     corrected_ratio: float | None = None
 
 
-class _Corpus(NamedTuple):
-    """Documents joined into one matcher input: what ``locate`` reads of a
-    tagged text.  Token indices run over the whole corpus, byte offsets stay
-    those of each token's own document."""
-
-    tokens: list[TaggedToken]
-    keys: list[tuple]
-    boundaries: tuple[int, ...]
-
-
 def _ratio(part: int, whole: int) -> float:
     return part / whole if whole else 0.0
 
 
-def by_subcategory(tagged_docs: list[tuple[str, TaggedText]], overall: ClassifiedCounts,
+def by_subcategory(corpus: Corpus, overall: ClassifiedCounts,
                    index: LexIndex, pn_flat: Graph, svc_flat: Graph,
                    subcats: tuple[str, ...] = SUBCATEGORIES, *,
                    pn_by_subcat: dict[str, Graph] | None = None,
@@ -124,10 +101,10 @@ def by_subcategory(tagged_docs: list[tuple[str, TaggedText]], overall: Classifie
                    ) -> list[SubcatRow]:
     """One row per subcategory, then the ``all`` row of the global ``overall``.
 
-    ``tagged_docs`` is the corpus tagged against the full ``index``.  The
-    grammars are flattened; per-subcategory ones replace the main ones.
-    ``correction`` supplies ((p_pn, r_pn), (p_svc, r_svc)); without it the
-    corrected column stays unset.
+    ``corpus`` is tagged against the full ``index``.  The grammars are
+    flattened; per-subcategory ones replace the main ones.  ``correction``
+    supplies ((p_pn, r_pn), (p_svc, r_svc)); without it the corrected
+    column stays unset.
     """
     pn_by_subcat = pn_by_subcat or {}
     svc_by_subcat = svc_by_subcat or {}
@@ -138,26 +115,12 @@ def by_subcategory(tagged_docs: list[tuple[str, TaggedText]], overall: Classifie
         (p_pn, r_pn), (p_svc, r_svc) = correction
         return evaluation.corrected_proportion(pn, p_pn, r_pn, svc, p_svc, r_svc)
 
-    tokens: list[TaggedToken] = []
-    keys: list[tuple] = []
-    boundaries: list[int] = []
-    initials: list[int] = []
-    for _, tagged in tagged_docs:
-        at = len(tokens)
-        if at and tagged.tokens:
-            boundaries.append(at)
-        boundaries.extend(at + i for i in tagged.boundaries)
-        initials.extend(at + i for i in tagged.initials)
-        tokens += tagged.tokens
-        keys += tagged.keys
-    corpus = _Corpus(tokens, keys, tuple(boundaries))
-
     rows: list[SubcatRow] = []
     for subcat in subcats:
         pn_g = pn_by_subcat.get(subcat, pn_flat)
         svc_g = svc_by_subcat.get(subcat, svc_flat)
         view = corpus._replace(keys=RestrictedKeys(index, subcat, case_policy)
-                               .restrict(keys, initials))
+                               .restrict(corpus.keys, corpus.initials))
         counts = classify_pn(locate(pn_g, view, policy), locate(svc_g, view, policy))
         rows.append(SubcatRow(subcat, counts.pn_total,
                               _ratio(counts.pn_total, overall.pn_total),

@@ -102,10 +102,10 @@ def _cmd_tag(args) -> int:
 def _cmd_locate(args) -> int:
     cfg = _config(args)
     run = pipeline.Run(replace(cfg, policy=args.policy or cfg.policy))
-    for doc_id, matches in run.located(args.grammar):
+    for (doc_id, matches), first in zip(run.located(args.grammar), run.corpus.starts):
         for m in matches:
             print(f"{doc_id}\t{m.start_byte}\t{m.end_byte}"
-                  f"\t{m.start_token}\t{m.end_token}\t{m.grammar}")
+                  f"\t{m.start_token - first}\t{m.end_token - first}\t{m.grammar}")
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ Relative paths resolve against the directory containing the config file.
     svc_grammar_cv
     corpus           glob of corpus text files (required)
     gold             gold annotation TSV (optional; enables the eval stage)
-    eval_docs        doc ids restricting the eval stage (optional)
+    eval_docs        corpus doc ids restricting the eval stage (optional)
     policy           longest | all | shortest
     width            concordance context width in characters
     case_policy      exact | sentence-initial-fold
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import glob as globmod
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,7 +54,7 @@ from .lexicon import (
 )
 from .rtn import POLICIES, Grammar, Graph, Match, flatten, load_grammar, locate
 from .source import content_lines, natural, read_text
-from .textproc import TaggedText, tag, tokenize
+from .textproc import Corpus, TaggedText, join, tag, tokenize
 
 _LIST_KEYS = {"lexicon", "lemmas", "paradigms", "pn_grammar", "svc_grammar",
               "pn_grammar_nca", "pn_grammar_ncf", "pn_grammar_cv",
@@ -315,9 +316,10 @@ class Run:
     """One pipeline run over a config, shared by every subcommand.
 
     Each stage is computed on first use and kept, so a subcommand pays
-    only for the stages it reads and none runs twice.  Documents are
-    tokenized and tagged once; ``located`` and ``lines`` take the main
-    grammar, "pn" or "svc".
+    only for the stages it reads and none runs twice.  Every scope reads
+    ``corpus``, the documents tagged and joined once.  ``located`` splits
+    a main grammar's ("pn" or "svc") matches over it per document, at
+    corpus token indices; ``lines`` takes the same names.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -349,12 +351,18 @@ class Run:
         return [(doc_id, tag(tokenize(text), self.index, text, self.cfg.case_policy))
                 for doc_id, text in self.docs]
 
+    @cached_property
+    def corpus(self) -> Corpus:
+        return join(tagged for _, tagged in self.tagged_docs)
+
     def located(self, which: str) -> list[tuple[str, list[Match]]]:
         key = ("located", which)
         if key not in self._per_grammar:
-            tagged_docs, flat = self.tagged_docs, getattr(self.flats, which)
-            self._per_grammar[key] = [(doc_id, locate(flat, tagged, self.cfg.policy))
-                                      for doc_id, tagged in tagged_docs]
+            matches = locate(getattr(self.flats, which), self.corpus, self.cfg.policy)
+            cuts = [bisect_left(matches, start, key=lambda m: m.start_token)
+                    for start in (*self.corpus.starts, len(self.corpus.tokens))]
+            self._per_grammar[key] = [(doc_id, matches[lo:hi]) for (doc_id, _), lo, hi
+                                      in zip(self.tagged_docs, cuts, cuts[1:])]
         return self._per_grammar[key]
 
     def lines(self, which: str) -> list[ConcordanceLine]:
@@ -369,14 +377,17 @@ class Run:
 
     @cached_property
     def counts(self) -> classify_mod.ClassifiedCounts:
-        return classify_mod.combine([
-            classify_mod.classify_pn(pn, svc)
-            for (_, pn), (_, svc) in zip(self.located("pn"), self.located("svc"))])
+        pn, svc = ([m for _, part in self.located(which) for m in part]
+                   for which in ("pn", "svc"))
+        return classify_mod.classify_pn(pn, svc)
 
     @cached_property
     def evaluation(self) -> tuple[list[MetricRow], Correction | None]:
         """Metric rows and correction pair (see ``_eval_stage``); without a
         gold file, no rows and no correction."""
+        unknown = sorted(set(self.cfg.eval_docs) - {doc_id for doc_id, _ in self.docs})
+        if unknown:
+            raise ConfigError(f"eval_docs not in corpus: {' '.join(unknown)}")
         if not self.cfg.gold:
             return [], None
         return _eval_stage(self.cfg, self.lines("pn"), self.lines("svc"), self.counts)
@@ -390,7 +401,7 @@ class Run:
     def subcat_rows(self) -> list[classify_mod.SubcatRow]:
         flats = self.flats
         return classify_mod.by_subcategory(
-            self.tagged_docs, self.counts, self.index, flats.pn, flats.svc, self.cfg.subcats,
+            self.corpus, self.counts, self.index, flats.pn, flats.svc, self.cfg.subcats,
             pn_by_subcat=flats.pn_by_subcat, svc_by_subcat=flats.svc_by_subcat,
             policy=self.cfg.policy, case_policy=self.cfg.case_policy,
             correction=self.evaluation[1])

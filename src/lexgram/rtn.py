@@ -29,28 +29,22 @@ and number (``s``/``p``) are read off the matching analysis's inflection
 code and unified with whatever the group already recorded on this path;
 analyses lacking an attribute unify with anything.
 
-Flattening inlines every call with fresh state ids, connected by epsilon
-transitions, turning the grammar into one plain finite-state graph; a
-grammar whose flattened graph would pass ``FLAT_STATE_LIMIT`` states is
-rejected as malformed.  ``locate`` compiles a flattened graph once and
-caches the result on it: epsilon closures are precomputed for the
-initial state and every consuming-transition target, keeping only finals
-and states with a consuming out-edge; each state's consuming transitions
-are grouped; and what a label makes of a token (``readings``) is
-memoized per label and analysis set, or per surface for literals.
+``flatten`` inlines every call, turning the grammar into one plain
+finite-state graph.  ``locate`` compiles a flattened graph once and
+caches the result on it (``_Compiled``); what a label makes of a token
+(``readings``) is memoized per label and analysis set, or per surface
+for literals.
 
-Matching runs a lazily built DFA, as RE2 does.  A DFA state is one
-interned set of (NFA state, bindings) configurations; it stores the
-representative binding of its accepting configurations, computed once,
-and a row of successors per token key (surface, analyses), filled on
-first use, in which ``_DEAD`` marks a token no configuration survives.
-Every start token is tried from the start state (one per seed binding),
-so a token no initial label accepts costs one lookup in its row.  The
-cache holds at most ``DFA_CACHE_LIMIT`` states and row entries per
-compiled graph; past it, every state, row and start state is dropped and
-rebuilt on demand.  ``locate_recursive``, a pushdown simulation over the
-unflattened grammar, stays the reference implementation (the oracle);
-both must agree on every match span and binding.
+Matching runs a lazily built DFA, as RE2 does: a DFA state (``_State``)
+is one interned set of (NFA state, bindings) configurations with a row
+of successors per token key, filled on first use.  Every start token is
+tried from the start state (one per seed binding), so a token no
+initial label accepts costs one lookup in its row.  The cache holds at
+most ``DFA_CACHE_LIMIT`` states and row entries per compiled graph; past
+it, every state, row and start state is dropped and rebuilt on demand.
+``locate_recursive``, a pushdown simulation over the unflattened
+grammar, stays the reference implementation (the oracle); both must
+agree on every match span and binding.
 """
 from __future__ import annotations
 
@@ -59,7 +53,7 @@ from dataclasses import dataclass, field
 
 from .errors import CycleError, MalformedGraph, UnresolvedCall
 from .source import content_lines, natural, read_text
-from .textproc import TaggedText, TaggedToken
+from .textproc import Corpus, TaggedText, TaggedToken
 
 POLICY_LONGEST = "longest"
 POLICY_ALL = "all"
@@ -743,7 +737,7 @@ def _select(accepts: dict[int, Bindings], policy: str) -> list[int]:
     return sorted(accepts)
 
 
-def _make_match(tagged: TaggedText, start: int, end: int, name: str,
+def _make_match(tagged: TaggedText | Corpus, start: int, end: int, name: str,
                 bindings: Bindings) -> Match:
     return Match(start, end,
                  tagged.tokens[start].token.start,
@@ -751,14 +745,13 @@ def _make_match(tagged: TaggedText, start: int, end: int, name: str,
                  name, dict(bindings))
 
 
-def locate(flat: Graph, tagged: TaggedText, policy: str = POLICY_LONGEST) -> list[Match]:
-    """All matches of a flattened graph over tagged text.
+def locate(flat: Graph, tagged: TaggedText | Corpus, policy: str = POLICY_LONGEST) -> list[Match]:
+    """All matches of a flattened graph over a tagged text or a corpus.
 
     Simulation runs from every start token, never crosses a sentence
     boundary, and reports spans per policy: the maximal end per start
     (longest), the minimal one (shortest), or every accepting span (all).
-    A start token no initial label accepts leads from the start state to
-    the cached dead state at once.  Output is sorted by (start, end).
+    Output is sorted by (start, end).
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")

@@ -36,6 +36,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import EmptyInput, InvalidEncoding
 from .lexicon import CASE_FOLD, Analysis, LexIndex, lookup, subcategory_analyses
@@ -73,9 +74,8 @@ class Token:
 
 @dataclass(slots=True)
 class TaggedToken:
-    """A token and its analyses.  The per-subcategory matcher input of
-    ``classify.by_subcategory`` shares instances with the tagged texts, so a
-    tagged token is never mutated."""
+    """A token and its analyses.  The corpus that ``join`` builds shares
+    instances with the tagged texts, so a tagged token is never mutated."""
 
     token: Token
     analyses: frozenset[Analysis]
@@ -257,6 +257,39 @@ def tag(tokens: list[Token], index: LexIndex, source: str,
         tagged.append(TaggedToken(token, analyses))
     boundaries = tuple(i for i, token in enumerate(tokens) if token.opens_sentence)
     return TaggedText(tagged, source, boundaries, tuple(initials))
+
+
+class Corpus(NamedTuple):
+    """What ``locate`` reads of a tagged text, plus ``initials`` and
+    ``starts``, the index of each text's first token (see ``join``)."""
+
+    tokens: list[TaggedToken]
+    keys: list[tuple]
+    boundaries: tuple[int, ...]
+    initials: tuple[int, ...]
+    starts: tuple[int, ...]
+
+
+def join(tagged_texts: Iterable[TaggedText]) -> Corpus:
+    """The texts as one matcher input.  Token indices run over the whole
+    corpus, byte offsets stay each text's own.  Every text start is a
+    sentence boundary, so no match crosses a text and counts over the
+    corpus equal the per-text counts summed."""
+    tokens: list[TaggedToken] = []
+    keys: list[tuple] = []
+    boundaries: list[int] = []
+    initials: list[int] = []
+    starts: list[int] = []
+    for tagged in tagged_texts:
+        at = len(tokens)
+        starts.append(at)
+        if at and tagged.tokens:
+            boundaries.append(at)
+        boundaries.extend(at + i for i in tagged.boundaries)
+        initials.extend(at + i for i in tagged.initials)
+        tokens += tagged.tokens
+        keys += tagged.keys
+    return Corpus(tokens, keys, tuple(boundaries), tuple(initials), tuple(starts))
 
 
 class RestrictedKeys(dict):

@@ -6,8 +6,10 @@ import os
 import pytest
 
 from lexgram import pipeline
+from lexgram.classify import ClassifiedCounts, classify_pn
 from lexgram.inflect import expand_lexicon, load_lemma_entries, load_paradigms
 from lexgram.lexicon import load_lexicon
+from lexgram.rtn import locate
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO, "fixtures")
@@ -42,6 +44,15 @@ def reference_entries(cfg):
     return entries
 
 
+def per_document_counts(pn_flat, svc_flat, tagged_texts, policy="longest"):
+    """Reference for corpus-wide counts: ``classify_pn`` over each text's
+    own matches, summed field by field."""
+    parts = [classify_pn(locate(pn_flat, tagged, policy), locate(svc_flat, tagged, policy))
+             for tagged in tagged_texts]
+    return ClassifiedCounts(*(sum(getattr(p, name) for p in parts) for name in
+                              ("pn_total", "svc_total", "pn_with_sv", "pn_without_sv")))
+
+
 @pytest.fixture(scope="session")
 def entries(run_config):
     return reference_entries(run_config)
@@ -72,7 +83,7 @@ def subcat_inputs(fixture_run):
     """The leading arguments of ``by_subcategory`` for the fixture run,
     and the flattened grammar set."""
     flats = fixture_run.flats
-    return (fixture_run.tagged_docs, fixture_run.counts, fixture_run.index,
+    return (fixture_run.corpus, fixture_run.counts, fixture_run.index,
             flats.pn, flats.svc), flats
 
 

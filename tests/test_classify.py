@@ -7,12 +7,13 @@ from lexgram.classify import (
     ClassifiedCounts,
     by_subcategory,
     classify_pn,
-    combine,
     format_classification,
 )
 from lexgram.lexicon import SUBCATEGORIES
 from lexgram.rtn import Match, flatten, locate
-from lexgram.textproc import tag, tokenize
+from lexgram.textproc import join, tag, tokenize
+
+from conftest import per_document_counts
 
 
 def mk_match(start, end):
@@ -56,21 +57,15 @@ def test_partition_invariant_enforced():
         ClassifiedCounts(3, 0, 1, 1)
 
 
-def test_combine_sums():
-    a = ClassifiedCounts(3, 1, 1, 2)
-    b = ClassifiedCounts(9, 3, 2, 7)
-    merged = combine([a, b])
-    assert (merged.pn_total, merged.svc_total, merged.pn_with_sv,
-            merged.pn_without_sv) == (12, 4, 3, 9)
-
-
 def test_fixture_corpus_hand_counts(tagged_docs, grammars):
-    """Hand-marked spans over the bundled 20-sentence corpus."""
+    """Hand-marked spans over the bundled 20-sentence corpus, counted per
+    document and summed, and counted over the joined corpus."""
     pn_flat = flatten(grammars.pn)
     svc_flat = flatten(grammars.svc)
-    parts = [classify_pn(locate(pn_flat, tagged), locate(svc_flat, tagged))
-             for _, tagged in tagged_docs]
-    counts = combine(parts)
+    texts = [tagged for _, tagged in tagged_docs]
+    counts = per_document_counts(pn_flat, svc_flat, texts)
+    corpus = join(texts)
+    assert classify_pn(locate(pn_flat, corpus), locate(svc_flat, corpus)) == counts
     assert counts.pn_total == 12
     assert counts.svc_total == 4
     assert counts.pn_with_sv == 3
@@ -145,10 +140,9 @@ def test_format_classification_layout(subcat_inputs):
 
 def _subcat_rows(fixture_run, texts):
     flats = fixture_run.flats
-    tagged_docs = [(f"d{i}", tag(tokenize(t), fixture_run.index, t)) for i, t in enumerate(texts)]
-    overall = combine([classify_pn(locate(flats.pn, t), locate(flats.svc, t))
-                       for _, t in tagged_docs])
-    return by_subcategory(tagged_docs, overall, fixture_run.index, flats.pn, flats.svc,
+    tagged = [tag(tokenize(t), fixture_run.index, t) for t in texts]
+    overall = per_document_counts(flats.pn, flats.svc, tagged)
+    return by_subcategory(join(tagged), overall, fixture_run.index, flats.pn, flats.svc,
                           pn_by_subcat=flats.pn_by_subcat, svc_by_subcat=flats.svc_by_subcat)
 
 

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import os
+import shutil
 
 import pytest
 
+from lexgram import classify, pipeline
 from lexgram.cli import main
 from lexgram.pipeline import parse_config, run_pipeline
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def run_cli(capsys, *argv):
@@ -17,6 +19,14 @@ def run_cli(capsys, *argv):
 
 
 CFG = fixture_path("run.cfg")
+
+
+def copied_fixtures(tmp_path, edit):
+    """Copy the fixtures into ``tmp_path``; return the copy's run config,
+    its text passed through ``edit``."""
+    cfg = shutil.copytree(FIXTURES, tmp_path / "fixtures") / "run.cfg"
+    cfg.write_text(edit(cfg.read_text(encoding="utf-8")), encoding="utf-8")
+    return cfg
 
 
 def test_run_writes_reports(tmp_path, capsys):
@@ -387,3 +397,38 @@ def test_lexicon_error_order(tmp_path, capsys, static, paradigms, lemmas, error,
     code, out, err = run_cli(capsys, "index", "-c", str(cfg))
     assert (code, out) == (3, "")
     assert err.startswith("lexgram: " + error) and err.rstrip("\n").endswith(where), err
+
+
+@pytest.mark.parametrize("cmd,to_out", [("eval", False), ("eval", True), ("run", True),
+                                        ("classify", False)])
+def test_unknown_eval_docs_is_config_error(tmp_path, capsys, cmd, to_out):
+    cfg = copied_fixtures(tmp_path, lambda text: text + "eval_docs = doc1 doc9 docX\n")
+    out_dir = tmp_path / "out"
+    argv = [cmd, "-c", str(cfg)] + (["--out", str(out_dir)] if to_out else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "lexgram: ConfigError: eval_docs not in corpus: doc9 docX\n"
+    assert not out_dir.exists()
+
+
+def test_run_locates_once_per_grammar_and_scope(tmp_path, capsys, monkeypatch):
+    cfg = copied_fixtures(tmp_path, lambda text: text.replace("corpus/*.txt", "many/*.txt"))
+    (tmp_path / "fixtures" / "many").mkdir()
+    for i in range(50):
+        (tmp_path / "fixtures" / "many" / f"d{i:02}.txt").write_text(
+            f"Marie fait attention à ce détail {i}. Le vol restait sans suite.\n",
+            encoding="utf-8")
+    calls = []
+    real = pipeline.locate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "locate", counted)
+    monkeypatch.setattr(classify, "locate", counted)
+    code, _, _ = run_cli(capsys, "run", "-c", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert len(calls) == 2 + 2 * len(parse_config(str(cfg)).subcats)
+    report = (tmp_path / "out" / "classification.tsv").read_text(encoding="utf-8")
+    assert "\nNCF\t50\t" in report

@@ -2,20 +2,21 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lexgram.classify import by_subcategory, classify_pn, combine
+from lexgram.classify import by_subcategory, classify_pn
 from lexgram.concord import ConcordanceLine, build_concordance, sort_concordance
 from lexgram.evaluation import bias_correct
 from lexgram.lexicon import (CASE_EXACT, CASE_POLICIES, SUBCATEGORIES, LexEntry, build_index,
                              filter_subcategory, lookup, parse_entry)
-from lexgram.rtn import (EPSILON, Grammar, Graph, Literal, Mask, Match, locate,
+from lexgram.rtn import (EPSILON, POLICIES, Grammar, Graph, Literal, Mask, Match, locate,
                          locate_recursive, span_accepts)
-from lexgram.textproc import UNKNOWN_ANALYSES, WORD, RestrictedKeys, tag, tokenize
+from lexgram.textproc import UNKNOWN_ANALYSES, WORD, RestrictedKeys, join, tag, tokenize
 
-from conftest import fixture_path
+from conftest import fixture_path, per_document_counts
 
 CASES = 1000
 
@@ -273,22 +274,42 @@ def test_subcategory_rows_equal_per_document_reference(fixture_run, entries, ext
     lexicon = entries + extra
     flats = fixture_run.flats
     full = build_index(lexicon)
-    tagged_docs = [(f"d{i}", tag(tokenize(t), full, t, policy)) for i, t in enumerate(texts)]
-    overall = combine([classify_pn(locate(flats.pn, t), locate(flats.svc, t))
-                       for _, t in tagged_docs])
-    rows = by_subcategory(tagged_docs, overall, full, flats.pn, flats.svc,
+    tagged = [tag(tokenize(t), full, t, policy) for t in texts]
+    overall = per_document_counts(flats.pn, flats.svc, tagged)
+    rows = by_subcategory(join(tagged), overall, full, flats.pn, flats.svc,
                           pn_by_subcat=flats.pn_by_subcat, svc_by_subcat=flats.svc_by_subcat,
                           case_policy=policy)
     for row in rows[:-1]:
         scoped = build_index(filter_subcategory(lexicon, row.subcat))
-        pn_g, svc_g = flats.pn_by_subcat[row.subcat], flats.svc_by_subcat[row.subcat]
-        parts = []
-        for text in texts:
-            tagged = tag(tokenize(text), scoped, text, policy)
-            parts.append(classify_pn(locate(pn_g, tagged), locate(svc_g, tagged)))
-        want = combine(parts)
+        want = per_document_counts(flats.pn_by_subcat[row.subcat],
+                                   flats.svc_by_subcat[row.subcat],
+                                   [tag(tokenize(t), scoped, t, policy) for t in texts])
         assert (row.pn, row.svc, row.svc_raw) == \
             (want.pn_total, want.pn_with_sv, want.svc_total), row.subcat
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=corpora(), case_policy=st.sampled_from(CASE_POLICIES))
+@example(texts=["", "attention", "une grande attention", "Marie fait attention . Le vol"],
+         case_policy=CASE_POLICIES[0])
+def test_joined_corpus_equals_per_document(fixture_run, texts, case_policy):
+    """``locate`` over the joined documents, split per document and rebased,
+    gives each document's own matches: spans, byte offsets and bindings.
+    ``classify_pn`` over the join gives the per-document counts summed."""
+    flats = fixture_run.flats
+    tagged = [tag(tokenize(t), fixture_run.index, t, case_policy) for t in texts]
+    corpus = join(tagged)
+    limits = (*corpus.starts, len(corpus.tokens))
+    for policy in POLICIES:
+        for flat in (flats.pn, flats.svc):
+            joined = locate(flat, corpus, policy)
+            for text, lo, hi in zip(tagged, limits, limits[1:]):
+                own = [replace(m, start_token=m.start_token - lo, end_token=m.end_token - lo)
+                       for m in joined if lo <= m.start_token < hi]
+                assert all(m.end_token <= hi - lo for m in own)
+                assert own == locate(flat, text, policy), policy
+        assert classify_pn(locate(flats.pn, corpus, policy), locate(flats.svc, corpus, policy)) \
+            == per_document_counts(flats.pn, flats.svc, tagged, policy), policy
 
 
 def test_match_line_bijection_randomized():
