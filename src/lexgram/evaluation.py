@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
+from math import fsum
 
 from .concord import ConcordanceLine
 from .errors import EmptyGold, EmptySystem, MalformedGold, ZeroRecall
@@ -162,11 +163,12 @@ def precision(matched: int, system_total: int) -> float:
     return matched / system_total
 
 
-def average(a: float, b: float) -> float:
-    """Arithmetic mean of two unrounded ratios."""
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ValueError("ratios outside [0, 1]")
-    return (a + b) / 2.0
+def average(*ratios: float) -> float:
+    """Arithmetic mean of one or more unrounded ratios.  ``fsum`` rounds the
+    sum once, so the mean does not depend on the Python version."""
+    if not ratios or not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ValueError("need one or more ratios in [0, 1]")
+    return fsum(ratios) / len(ratios)
 
 
 def bias_correct(n: float, p: float, r: float) -> float:

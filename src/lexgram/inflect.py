@@ -21,7 +21,7 @@ Each paradigm reduces its rules once to a plan, the net edit of each rule
 ``expand_lexicon`` and the index all apply.  Expanding a lemma entry
 emits one inflected lexicon entry per distinct (form, code).  The run
 path skips those entries: ``index_lemma_file`` checks each lemma row's
-head once and adds the row to a ``lexicon.FormTable``, which maps each
+head once and adds the row to a ``lexicon.LexIndex``, which maps each
 generated form to a packed reference to its row and rule.
 """
 from __future__ import annotations
@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import LemmaTooShort, MalformedEntry, MalformedParadigm, UnknownParadigm
-from .lexicon import _TAG, FormTable, LexEntry, _scan_tag, load_entries, scan_head
+from .lexicon import _TAG, LexEntry, LexIndex, _scan_tag, load_entries, scan_head
 from .source import content_lines, read_text
 
 DELETE_OP = "L"
@@ -270,12 +270,12 @@ def expand_lexicon(lemma_entries: list[LemmaEntry],
     return out
 
 
-def index_lemma_file(path: str, paradigms: dict[str, Paradigm], table: FormTable) -> None:
-    """Add the rows of a lemma file to ``table``, with the errors of
+def index_lemma_file(path: str, paradigms: dict[str, Paradigm], index: LexIndex) -> None:
+    """Add the rows of a lemma file to ``index``, with the errors of
     ``expand_lexicon(load_lemma_entries(path), paradigms)``: the whole file
     is parsed first, then each row is inflected and its head checked once.
     Paradigm files never repeat a code within a paradigm, so a row's
     (form, code) pairs are distinct."""
     for lemma, category, features, name in load_entries(path, _lemma_row):
         paradigm, forms = _inflect(lemma, name, paradigms)
-        table.add_row(lemma, category, features, paradigm.codes, forms)
+        index.add_row(lemma, category, features, paradigm.codes, forms)

@@ -12,8 +12,8 @@ Support-verb links on predicative-noun entries are plain features of the
 shape ``SV=lemma`` (one per licensed verb), so a single file format covers
 the whole lexicon.  Entries may carry several inflection codes; each code
 becomes one analysis at indexing time.  Generated forms reach the index
-as packed references into a table of checked lemma rows (``FormTable``);
-the index builds a form's analyses on its first lookup.
+(``LexIndex``) as packed references into its table of checked lemma
+rows; the index builds a form's analyses on its first lookup.
 """
 from __future__ import annotations
 
@@ -126,10 +126,6 @@ class LexEntry:
         _check_codes(self.infl_codes)
         if unlinked:
             raise MalformedEntry(_UNLINKED_ENTRY)
-
-    @property
-    def is_pn(self) -> bool:
-        return PN_FEATURE in self.sem_features
 
     def analyses(self) -> tuple[Analysis, ...]:
         """One analysis per inflection code; a code-less entry yields a
@@ -261,26 +257,34 @@ def load_lexicon(path: str) -> list[LexEntry]:
     return load_entries(path, parse_entry)
 
 
-class FormTable:
-    """What ``build_index`` indexes; ``pipeline.build_entries`` returns one.
+_NO_ANALYSES: frozenset[Analysis] = frozenset()
 
-    Each form maps to a frozenset of analyses (static lexicon lines), to
-    one packed reference into the table of checked lemma rows, or to a
-    list of several of these.  A reference is ``row * width + i`` for the
-    ``i``-th rule of the row's paradigm, ``width`` being the largest rule
-    count of any paradigm.  A row is (lemma, category, checked features,
-    the codes of its paradigm's rules).  Each static line and each
-    generated form counts as one entry.
+
+class LexIndex:
+    """Map from surface form to its set of analyses.
+
+    One hash map from each form to its analyses: lookup is exact-match
+    only, so no prefix structure is needed.  A form maps to a frozenset of
+    analyses (static lexicon lines), to one packed reference into the
+    table of checked lemma rows, or to a list of several of these.  A
+    reference is ``row * width + i`` for the ``i``-th rule of the row's
+    paradigm, ``width`` being the largest rule count of any paradigm.  A
+    row is (lemma, category, checked features, the codes of its
+    paradigm's rules).  Each static line and each generated form counts as
+    one entry.  Pure to readers; the first ``get`` of a generated form
+    builds its frozenset and stores it in place of the references, so
+    every later call for the form returns the same object.
     """
 
-    __slots__ = ("forms", "rows", "width", "num_entries")
+    __slots__ = ("_forms", "_rows", "_width", "num_entries", "_num_analyses")
 
     def __init__(self, entries: list[LexEntry] = (), width: int = 1):
-        self.forms: dict[str, frozenset[Analysis] | int | list] = {}
-        self.rows: list[tuple[str, str, frozenset[str], tuple[str, ...]]] = []
-        self.width = width
+        self._forms: dict[str, frozenset[Analysis] | int | list] = {}
+        self._rows: list[tuple[str, str, frozenset[str], tuple[str, ...]]] = []
+        self._width = width
         self.num_entries = len(entries)
-        forms = self.forms
+        self._num_analyses: int | None = None
+        forms = self._forms
         for entry in entries:
             analyses = frozenset(entry.analyses())
             known = forms.get(entry.form)
@@ -293,14 +297,14 @@ class FormTable:
         (codes[i],))``, with the head checked once and the same error.  The
         forms and the lemma must be non-empty and the codes legal and
         distinct, as the paradigm reader and ``Paradigm.forms`` ensure."""
-        if len(codes) > self.width:
-            raise ValueError(f"{len(codes)} codes in a table {self.width} wide")
+        if len(codes) > self._width:
+            raise ValueError(f"{len(codes)} codes in an index {self._width} wide")
         feats, unlinked = _checked_head(category, sem_features)
         if unlinked:
             raise MalformedEntry(_UNLINKED_ENTRY)
-        ref = len(self.rows) * self.width
-        self.rows.append((lemma, category, feats, codes))
-        by_form = self.forms
+        ref = len(self._rows) * self._width
+        self._rows.append((lemma, category, feats, codes))
+        by_form = self._forms
         for form in forms:
             known = by_form.setdefault(form, ref)
             if known is not ref:
@@ -310,46 +314,7 @@ class FormTable:
                     by_form[form] = [known, ref]
             ref += 1
         self.num_entries += len(forms)
-
-    def analyses(self, refs: int | list) -> frozenset[Analysis]:
-        """The analysis set of one form's value in ``forms`` that is not a
-        frozenset: a reference, or a list of references and sets."""
-        rows, width = self.rows, self.width
-        out: set[Analysis] = set()
-        for ref in [refs] if type(refs) is int else refs:
-            if type(ref) is int:
-                row, i = divmod(ref, width)
-                lemma, category, feats, codes = rows[row]
-                out.add(_checked_analysis(lemma, category, feats, codes[i]))
-            else:
-                out |= ref
-        return frozenset(out)
-
-
-_NO_ANALYSES: frozenset[Analysis] = frozenset()
-
-
-class LexIndex:
-    """Map from surface form to its set of analyses.
-
-    One hash map from each form to its analyses: lookup is exact-match
-    only, so no prefix structure is needed.  Pure to readers; ``get``
-    fills a form's set on first use.  A generated form holds lemma-row
-    references (see ``FormTable``) until its first ``get`` builds the
-    frozenset and stores it in their place, so every later call for the
-    form returns the same object.
-    """
-
-    __slots__ = ("_table", "_forms", "_num_analyses")
-
-    def __init__(self, table: FormTable):
-        self._table = table
-        self._forms = table.forms
-        self._num_analyses: int | None = None
-
-    @property
-    def num_entries(self) -> int:
-        return self._table.num_entries
+        self._num_analyses = None
 
     @property
     def num_forms(self) -> int:
@@ -366,8 +331,18 @@ class LexIndex:
     def get(self, form: str) -> frozenset[Analysis]:
         """The analyses of exactly ``form``; empty when it is not indexed."""
         found = self._forms.get(form, _NO_ANALYSES)
-        if type(found) is not frozenset:
-            found = self._forms[form] = self._table.analyses(found)
+        if type(found) is frozenset:
+            return found
+        rows, width = self._rows, self._width
+        out: set[Analysis] = set()
+        for ref in [found] if type(found) is int else found:
+            if type(ref) is int:
+                row, i = divmod(ref, width)
+                lemma, category, feats, codes = rows[row]
+                out.add(_checked_analysis(lemma, category, feats, codes[i]))
+            else:
+                out |= ref
+        found = self._forms[form] = frozenset(out)
         return found
 
     def forms(self) -> list[str]:
@@ -375,10 +350,10 @@ class LexIndex:
         return sorted(self._forms)
 
 
-def build_index(entries: list[LexEntry] | FormTable) -> LexIndex:
-    """Index lexicon entries, or the ``FormTable`` of ``build_entries``;
-    identical analyses for a form deduplicate."""
-    return LexIndex(entries if type(entries) is FormTable else FormTable(entries))
+def build_index(entries: list[LexEntry] | LexIndex) -> LexIndex:
+    """Index lexicon entries, identical analyses for a form deduplicated;
+    the ``LexIndex`` that ``build_entries`` fills is returned as it is."""
+    return entries if type(entries) is LexIndex else LexIndex(entries)
 
 
 def in_subcategory(features, subcat: str) -> bool:

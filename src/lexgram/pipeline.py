@@ -40,14 +40,13 @@ from functools import cached_property
 
 from . import classify as classify_mod
 from . import evaluation
-from .concord import ConcordanceLine, build_concordance, format_concordance, sort_concordance
+from .concord import ConcordanceLine, build_concordance, format_concordance
 from .errors import ConfigError, InvalidEncoding
 from .inflect import index_lemma_file, load_paradigms
 from .lexicon import (
     CASE_FOLD,
     CASE_POLICIES,
     SUBCATEGORIES,
-    FormTable,
     LexIndex,
     build_index,
     load_lexicon,
@@ -171,9 +170,11 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"bad rounding {cfg.rounding!r}")
     if "subcats" in values:
         subcats = tuple(values["subcats"].split())
-        for subcat in subcats:
+        for i, subcat in enumerate(subcats):
             if subcat not in SUBCATEGORIES:
                 raise ConfigError(f"bad subcategory {subcat!r}")
+            if subcat in subcats[:i]:
+                raise ConfigError(f"repeated subcategory {subcat!r}")
         cfg.subcats = subcats
     cfg.out = resolve(values.get("out", cfg.out))
     return cfg
@@ -182,16 +183,16 @@ def parse_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # stages
 
-def build_entries(cfg: RunConfig) -> FormTable:
-    """What ``build_index`` indexes, read in file order: the static lexicon
+def build_entries(cfg: RunConfig) -> LexIndex:
+    """The run's lexicon index, filled in file order: the static lexicon
     files, then the paradigm files, then each lemma file
-    (``inflect.index_lemma_file``).  Only ``build_index`` reads it."""
+    (``inflect.index_lemma_file``)."""
     static = [entry for path in cfg.lexicon for entry in load_lexicon(path)]
     paradigms = load_paradigms(cfg.paradigms) if cfg.lemmas else {}
-    table = FormTable(static, max((len(p.rules) for p in paradigms.values()), default=1))
+    index = LexIndex(static, max((len(p.rules) for p in paradigms.values()), default=1))
     for path in cfg.lemmas:
-        index_lemma_file(path, paradigms, table)
-    return table
+        index_lemma_file(path, paradigms, index)
+    return index
 
 
 @dataclass
@@ -277,13 +278,9 @@ def _eval_stage(cfg: RunConfig, pn_lines: list[ConcordanceLine],
             rows.append(MetricRow("precision", label, annotator, "-",
                                   str(metrics.matched), str(metrics.system_total),
                                   metrics.p))
-        if len(precisions) >= 2:
-            p_avg = evaluation.average(precisions[0], precisions[1])
-            r_avg = evaluation.average(recalls[0], recalls[1])
-        elif precisions:
-            p_avg, r_avg = precisions[0], recalls[0]
-        else:
+        if not annotators:
             continue
+        p_avg, r_avg = evaluation.average(*precisions), evaluation.average(*recalls)
         rows.append(MetricRow("recall", label, "average", "-", "-", "-", r_avg))
         rows.append(MetricRow("precision", label, "average", "-", "-", "-", p_avg))
         averaged[label] = (p_avg, r_avg)
@@ -366,13 +363,14 @@ class Run:
         return self._per_grammar[key]
 
     def lines(self, which: str) -> list[ConcordanceLine]:
-        """Concordance lines of ``located(which)``, in text order."""
+        """Concordance lines of ``located(which)``, in text order with no
+        sort: documents come sorted by id, each one's matches by start."""
         key = ("lines", which)
         if key not in self._per_grammar:
             lines: list[ConcordanceLine] = []
             for (doc_id, matches), (_, tagged) in zip(self.located(which), self.tagged_docs):
                 lines.extend(build_concordance(matches, tagged, self.cfg.width, doc_id))
-            self._per_grammar[key] = sort_concordance(lines, "text")
+            self._per_grammar[key] = lines
         return self._per_grammar[key]
 
     @cached_property

@@ -291,6 +291,38 @@ def test_classify_subcommand(capsys):
     assert "experimental\t12\t4\t3\t9\t0.2500\t25%" in out
 
 
+def test_repeated_subcategory_is_config_error(tmp_path, capsys):
+    cfg = copied_fixtures(tmp_path, lambda text: text.replace(
+        "subcats = NCA NCF CV", "subcats = NCA NCA"))
+    code, out, err = run_cli(capsys, "classify", "-c", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "ConfigError" in err and "repeated subcategory 'NCA'" in err
+    assert "Traceback" not in err
+
+
+def test_every_annotator_is_averaged(tmp_path):
+    """A third annotator, a copy of E1, enters the average rows and both
+    correction rows."""
+    cfg = copied_fixtures(tmp_path, lambda text: text)
+    gold = cfg.parent / "gold" / "annotations.tsv"
+    lines = gold.read_text(encoding="utf-8").splitlines(keepends=True)
+    copies = [line.replace("\tE1\t", "\tE3\t") for line in lines if "\tE1\t" in line]
+    gold.write_text("".join(lines + copies), encoding="utf-8")
+    rows, correction = pipeline.Run(parse_config(str(cfg))).evaluation
+    value = {(r.section, r.label, r.annotator): r.value for r in rows}
+    for label in ("PN", "SVC"):
+        assert value["recall", label, "E3"] == value["recall", label, "E1"]
+        for section in ("recall", "precision"):
+            each = [value[section, label, a] for a in ("E1", "E2", "E3")]
+            assert value[section, label, "average"] == pytest.approx(sum(each) / 3)
+    assert round(value["recall", "PN", "average"], 4) == 0.8671  # 0.8776 for E1, E2
+    assert correction == tuple((value["precision", label, "average"],
+                                value["recall", label, "average"]) for label in ("PN", "SVC"))
+    p, r = correction[0]
+    assert value["correction", "PN", "-"] == pytest.approx(12 * p / r)
+
+
 def test_classify_composes_with_pipeline(tmp_path, capsys):
     # without a gold file, the pipeline's classification report equals the
     # classify subcommand output byte for byte

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
+from lexgram import pipeline
 from lexgram.concord import build_concordance, format_concordance, sort_concordance
-from lexgram.rtn import flatten, locate
+from lexgram.rtn import POLICIES, flatten, locate
+
+from conftest import FIXTURES
 
 
 def pn_lines(tagged_docs, grammars, width=40):
@@ -126,3 +131,21 @@ def test_negative_width_rejected(tagged_docs, grammars):
     doc_id, tagged = tagged_docs[0]
     with pytest.raises(ValueError):
         build_concordance(locate(flat, tagged), tagged, -1, doc_id)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_run_lines_are_already_in_text_order(tmp_path, policy):
+    """``Run.lines`` keeps ``located``'s order, which is text order: the
+    documents sorted by id, each document's matches by start token.  The
+    fixture corpus plus two copies of doc1 around it gives both grammars
+    matches in several documents."""
+    fixtures = shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    for doc_id in ("doc0", "doc3"):
+        shutil.copy(fixtures / "corpus" / "doc1.txt", fixtures / "corpus" / f"{doc_id}.txt")
+    cfg = pipeline.parse_config(str(fixtures / "run.cfg"))
+    cfg.policy = policy
+    run = pipeline.Run(cfg)
+    for which in ("pn", "svc"):
+        lines = run.lines(which)
+        assert len({line.doc_id for line in lines}) >= 3
+        assert lines == sort_concordance(lines, "text")

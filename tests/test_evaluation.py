@@ -117,6 +117,16 @@ def test_averages_use_unrounded_values():
     assert average(a, b) == pytest.approx((a + b) / 2)
 
 
+def test_average_of_one_two_and_three_ratios():
+    a, b = 11 / 13, 10 / 11
+    assert average(a) == a
+    assert average(a, b) == (a + b) / 2.0  # bit-identical to the two-ratio mean
+    assert average(a, b, a) == pytest.approx((2 * a + b) / 3)
+    for bad in [(), (a, 1.5), (-0.1,)]:
+        with pytest.raises(ValueError):
+            average(*bad)
+
+
 # -- correction --------------------------------------------------------------------
 
 def test_bias_correct_reference_values():

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from lexgram import inflect, pipeline
 from lexgram.errors import LemmaTooShort, LexgramError, MalformedEntry
 from lexgram.inflect import LemmaEntry, Paradigm, Rule, generate, parse_lemma_entry
-from lexgram.lexicon import Analysis, FormTable, LexEntry, _escape, build_index
+from lexgram.lexicon import Analysis, LexEntry, LexIndex, _escape, build_index
 
 from conftest import fixture_path, reference_entries
 
@@ -221,7 +221,7 @@ def test_public_constructors_still_check_the_link():
     constructors still raise for it on every call."""
     unlinked = ("N", ("SV=avoir",))
     with pytest.raises(MalformedEntry) as err:
-        FormTable().add_row("vol", *unlinked, ("ms",), ["vol"])
+        LexIndex().add_row("vol", *unlinked, ("ms",), ["vol"])
     assert err.value.reason == "support-verb link on an entry without the PN feature"
     for _ in range(2):
         with pytest.raises(MalformedEntry):
@@ -229,18 +229,23 @@ def test_public_constructors_still_check_the_link():
         with pytest.raises(MalformedEntry):
             LexEntry("vol", "vol", *unlinked, ("ms",))
     linked = ("N", ("PN", "SV=avoir"))
-    table = FormTable()
-    table.add_row("vol", *linked, ("mp",), ["vols"])
-    [analysis] = build_index(table).get("vols")
+    index = LexIndex()
+    index.add_row("vol", *linked, ("mp",), ["vols"])
+    [analysis] = index.get("vols")
     assert analysis == Analysis("vol", "N", frozenset(linked[1]), "mp")
     assert LexEntry("vols", "vol", *linked, ("mp",)).analyses() == (analysis,)
 
 
 def test_row_wider_than_the_table_is_refused():
-    """A row with more codes than the table's width would share references
+    """A row with more codes than the index's width would share references
     with the next row."""
-    table = FormTable(width=2)
-    table.add_row("vol", "N", (), ("ms", "mp"), ["vol", "vols"])
+    index = LexIndex(width=2)
+    index.add_row("vol", "N", (), ("ms", "mp"), ["vol", "vols"])
     with pytest.raises(ValueError):
-        table.add_row("vol", "N", (), ("ms", "mp", "fs"), ["vol", "vols", "vole"])
-    assert build_index(table).get("vols") == {Analysis("vol", "N", frozenset(), "mp")}
+        index.add_row("vol", "N", (), ("ms", "mp", "fs"), ["vol", "vols", "vole"])
+    assert index.get("vols") == {Analysis("vol", "N", frozenset(), "mp")}
+
+
+def test_build_index_returns_a_filled_index_as_it_is(run_config):
+    index = pipeline.build_entries(run_config)
+    assert build_index(index) is index

@@ -7,6 +7,7 @@ from lexgram.errors import MalformedEntry
 from lexgram.lexicon import (
     CASE_EXACT,
     CASE_FOLD,
+    PN_FEATURE,
     SUBCATEGORIES,
     Analysis,
     LexEntry,
@@ -211,10 +212,10 @@ def test_lookup_monotone_under_insertion(seed):
 # -- subcategory filtering --------------------------------------------------
 
 def test_filter_separates_homographs(entries):
-    both = [e for e in entries if e.lemma == "pêche" and e.is_pn]
+    both = [e for e in entries if e.lemma == "pêche" and PN_FEATURE in e.sem_features]
     assert {"NCF", "CV"} <= {s for e in both for s in e.sem_features}
     ncf = filter_subcategory(entries, "NCF")
-    peche = [e for e in ncf if e.lemma == "pêche" and e.is_pn]
+    peche = [e for e in ncf if e.lemma == "pêche" and PN_FEATURE in e.sem_features]
     assert len(peche) == 2  # fs and fp of the NCF reading only
     assert all("NCF" in e.sem_features for e in peche)
 
@@ -225,9 +226,9 @@ def test_filter_keeps_non_pn_entries():
 
 
 def test_filter_counts_cover_pn_entries(entries):
-    pn_entries = [e for e in entries if e.is_pn]
+    pn_entries = [e for e in entries if PN_FEATURE in e.sem_features]
     per_subcat = sum(
-        len([e for e in filter_subcategory(entries, subcat) if e.is_pn])
+        len([e for e in filter_subcategory(entries, subcat) if PN_FEATURE in e.sem_features])
         for subcat in SUBCATEGORIES)
     # homographs spanning subcategories keep the sum at or above the total
     assert per_subcat >= len(pn_entries)
