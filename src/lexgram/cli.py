@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from . import classify as classify_mod
 from . import evaluation, pipeline, reference
-from .concord import format_concordance, sort_concordance
+from .concord import ORDERS, format_concordance, sort_concordance
 from .errors import (
     ConfigError,
     CycleError,
@@ -31,6 +31,7 @@ from .errors import (
 )
 from .inflect import expand_lexicon, load_lemma_entries, load_paradigms
 from .lexicon import serialize_entry
+from .rtn import POLICIES
 from .textproc import dump_tagged
 
 EXIT_OK = 0
@@ -94,8 +95,8 @@ def _cmd_tag(args) -> int:
         run.docs = [(doc_id, text) for doc_id, text in run.docs if doc_id == args.doc]
         if not run.docs:
             raise ConfigError(f"doc id {args.doc!r} not in corpus")
-    for _, tagged in run.tagged_docs:
-        sys.stdout.write(dump_tagged(tagged))
+    # one dump of the corpus equals the documents' dumps in a row
+    sys.stdout.write(dump_tagged(run.corpus.tokens))
     return EXIT_OK
 
 
@@ -194,11 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--doc", help="restrict to one doc id")
     p = with_config("locate", _cmd_locate, help="print match spans as TSV")
     p.add_argument("--grammar", choices=("pn", "svc"), required=True)
-    p.add_argument("--policy", choices=("longest", "all", "shortest"))
+    p.add_argument("--policy", choices=POLICIES)
     p = with_config("concord", _cmd_concord, help="print a concordance as TSV")
     p.add_argument("--grammar", choices=("pn", "svc"), required=True)
-    p.add_argument("--order", choices=("text", "center", "left-reversed"),
-                   default="text")
+    p.add_argument("--order", choices=ORDERS, default="text")
     with_config("classify", _cmd_classify, help="print classification counts as TSV")
     p = with_config("eval", _cmd_eval, help="print metrics against the gold file")
     p.add_argument("--out", help="also write the full report files")

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rtn import Match
-from .textproc import TaggedText
 
 ORDERS = ("text", "center", "left-reversed")
 
@@ -30,10 +29,11 @@ def _lead(blob: bytes, at: int, step: int) -> int:
     return at
 
 
-def build_concordance(matches: list[Match], tagged: TaggedText,
+def build_concordance(matches: list[Match], source: str,
                       width: int, doc_id: str) -> list[ConcordanceLine]:
-    """One line per match; contexts hold at most ``width`` characters and
-    token offsets keep context slicing on UTF-8 scalar boundaries.
+    """One line per match in ``source``, the document text; contexts hold at
+    most ``width`` characters and token offsets keep slicing on UTF-8 scalar
+    boundaries.
 
     A character takes at most 4 bytes, so each context is decoded from a
     window of ``4 * width`` bytes beside the match, widened to whole
@@ -41,7 +41,7 @@ def build_concordance(matches: list[Match], tagged: TaggedText,
     """
     if width < 0:
         raise ValueError("negative context width")
-    blob = tagged.source_bytes()
+    blob = source.encode("utf-8")
     reach = 4 * width
     lines = []
     for m in matches:

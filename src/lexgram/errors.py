@@ -6,6 +6,17 @@ class LexgramError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def _located(reason: str, path: str | None, line: int | None,
+             column: int | None = None) -> str:
+    """``reason (path, line L, column C)``, naming only the parts known."""
+    where = [] if path is None else [path]
+    if line is not None:
+        where.append(f"line {line}")
+    if column is not None:
+        where.append(f"column {column}")
+    return f"{reason} ({', '.join(where)})" if where else reason
+
+
 class MalformedEntry(LexgramError):
     """A lexicon or lemma line violates the line grammar.
 
@@ -22,16 +33,7 @@ class MalformedEntry(LexgramError):
         super().__init__(reason, column)
 
     def __str__(self) -> str:
-        where = []
-        if self.path is not None:
-            where.append(self.path)
-        if self.line is not None:
-            where.append(f"line {self.line}")
-        if self.column is not None:
-            where.append(f"column {self.column}")
-        if where:
-            return f"{self.reason} ({', '.join(where)})"
-        return self.reason
+        return _located(self.reason, self.path, self.line, self.column)
 
 
 class MalformedParadigm(LexgramError):
@@ -113,14 +115,7 @@ class MalformedGold(LexgramError):
         super().__init__(reason)
 
     def __str__(self) -> str:
-        where = []
-        if self.path is not None:
-            where.append(self.path)
-        if self.line is not None:
-            where.append(f"line {self.line}")
-        if where:
-            return f"{self.reason} ({', '.join(where)})"
-        return self.reason
+        return _located(self.reason, self.path, self.line)
 
 
 class EmptyGold(LexgramError):

@@ -53,7 +53,7 @@ from .lexicon import (
 )
 from .rtn import POLICIES, Grammar, Graph, Match, flatten, load_grammar, locate
 from .source import content_lines, natural, read_text
-from .textproc import Corpus, TaggedText, join, tag, tokenize
+from .textproc import Corpus, join, tag, tokenize
 
 _LIST_KEYS = {"lexicon", "lemmas", "paradigms", "pn_grammar", "svc_grammar",
               "pn_grammar_nca", "pn_grammar_ncf", "pn_grammar_cv",
@@ -116,9 +116,11 @@ def parse_config(path: str) -> RunConfig:
         paths = [resolve(p) for p in raw.split()]
         if required and not paths:
             raise ConfigError(f"missing required key {key!r}")
-        for p in paths:
+        for i, p in enumerate(paths):
             if not os.path.isfile(p):
                 raise ConfigError(f"{key}: file not found: {p}")
+            if p in paths[:i]:
+                raise ConfigError(f"{key}: repeated file: {p}")
         return paths
 
     cfg = RunConfig()
@@ -152,22 +154,16 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"gold: file not found: {cfg.gold}")
     cfg.eval_docs = values.get("eval_docs", "").split()
 
-    cfg.policy = values.get("policy", cfg.policy)
-    if cfg.policy not in POLICIES:
-        raise ConfigError(f"bad policy {cfg.policy!r}")
+    for key, allowed in (("policy", POLICIES), ("case_policy", CASE_POLICIES),
+                         ("alignment", evaluation.CRITERIA), ("rounding", evaluation.ROUNDINGS)):
+        value = values.get(key, getattr(cfg, key))
+        if value not in allowed:
+            raise ConfigError(f"bad {key} {value!r}")
+        setattr(cfg, key, value)
     width = natural(values.get("width", str(cfg.width)))
     if width is None:
         raise ConfigError(f"bad width {values['width']!r}")
     cfg.width = width
-    cfg.case_policy = values.get("case_policy", cfg.case_policy)
-    if cfg.case_policy not in CASE_POLICIES:
-        raise ConfigError(f"bad case_policy {cfg.case_policy!r}")
-    cfg.alignment = values.get("alignment", cfg.alignment)
-    if cfg.alignment not in evaluation.CRITERIA:
-        raise ConfigError(f"bad alignment {cfg.alignment!r}")
-    cfg.rounding = values.get("rounding", cfg.rounding)
-    if cfg.rounding not in evaluation.ROUNDINGS:
-        raise ConfigError(f"bad rounding {cfg.rounding!r}")
     if "subcats" in values:
         subcats = tuple(values["subcats"].split())
         for i, subcat in enumerate(subcats):
@@ -313,8 +309,9 @@ class Run:
     """One pipeline run over a config, shared by every subcommand.
 
     Each stage is computed on first use and kept, so a subcommand pays
-    only for the stages it reads and none runs twice.  Every scope reads
-    ``corpus``, the documents tagged and joined once.  ``located`` splits
+    only for the stages it reads and none runs twice.  A run holds each
+    document once as text (``docs``) and once tagged, in ``corpus``, which
+    every scope reads.  ``located`` splits
     a main grammar's ("pn" or "svc") matches over it per document, at
     corpus token indices; ``lines`` takes the same names.
     """
@@ -344,13 +341,9 @@ class Run:
         return load_corpus(self.cfg)
 
     @cached_property
-    def tagged_docs(self) -> list[tuple[str, TaggedText]]:
-        return [(doc_id, tag(tokenize(text), self.index, text, self.cfg.case_policy))
-                for doc_id, text in self.docs]
-
-    @cached_property
     def corpus(self) -> Corpus:
-        return join(tagged for _, tagged in self.tagged_docs)
+        return join(tag(tokenize(text), self.index, text, self.cfg.case_policy)
+                    for _, text in self.docs)
 
     def located(self, which: str) -> list[tuple[str, list[Match]]]:
         key = ("located", which)
@@ -359,7 +352,7 @@ class Run:
             cuts = [bisect_left(matches, start, key=lambda m: m.start_token)
                     for start in (*self.corpus.starts, len(self.corpus.tokens))]
             self._per_grammar[key] = [(doc_id, matches[lo:hi]) for (doc_id, _), lo, hi
-                                      in zip(self.tagged_docs, cuts, cuts[1:])]
+                                      in zip(self.docs, cuts, cuts[1:])]
         return self._per_grammar[key]
 
     def lines(self, which: str) -> list[ConcordanceLine]:
@@ -368,8 +361,8 @@ class Run:
         key = ("lines", which)
         if key not in self._per_grammar:
             lines: list[ConcordanceLine] = []
-            for (doc_id, matches), (_, tagged) in zip(self.located(which), self.tagged_docs):
-                lines.extend(build_concordance(matches, tagged, self.cfg.width, doc_id))
+            for (doc_id, matches), (_, text) in zip(self.located(which), self.docs):
+                lines.extend(build_concordance(matches, text, self.cfg.width, doc_id))
             self._per_grammar[key] = lines
         return self._per_grammar[key]
 

@@ -34,8 +34,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import EmptyInput, InvalidEncoding
@@ -91,22 +91,18 @@ class TaggedText:
 
     ``boundaries`` holds the indices of tokens that begin every sentence
     after the first, strictly increasing, and ``initials`` those of the
-    sentence-initial words, increasing too.  ``keys`` holds each token's
-    (surface, analyses), what a grammar's labels read of it; equal keys
-    are one tuple, so the matcher's caches hit by identity and a long
-    text holds one tuple per distinct key.
+    sentence-initial words, increasing too.
     """
 
     tokens: list[TaggedToken]
     source: str
     boundaries: tuple[int, ...]
     initials: tuple[int, ...]
-    keys: list[tuple[str, frozenset[Analysis]]] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        interned: dict[tuple, tuple] = {}
-        self.keys = [interned.setdefault(key := (tt.token.surface, tt.analyses), key)
-                     for tt in self.tokens]
+    @cached_property
+    def keys(self) -> list[tuple[str, frozenset[Analysis]]]:
+        """Each token's (surface, analyses), interned on first read."""
+        return _interned_keys(self.tokens)
 
     def sentence_end(self, index: int) -> int:
         """Index one past the last token of the sentence containing ``index``."""
@@ -115,8 +111,14 @@ class TaggedText:
             return self.boundaries[at]
         return len(self.tokens)
 
-    def source_bytes(self) -> bytes:
-        return self.source.encode("utf-8")
+
+def _interned_keys(tokens: list[TaggedToken]) -> list[tuple[str, frozenset[Analysis]]]:
+    """The tokens' (surface, analyses), what a grammar's labels read of them.
+    Equal keys are one tuple, so the matcher's caches hit by identity and a
+    long token list holds one tuple per distinct key."""
+    interned: dict[tuple, tuple] = {}
+    return [interned.setdefault(key := (tt.token.surface, tt.analyses), key)
+            for tt in tokens]
 
 
 def _scan(run: str) -> list[tuple[int, int, str]]:
@@ -274,9 +276,9 @@ def join(tagged_texts: Iterable[TaggedText]) -> Corpus:
     """The texts as one matcher input.  Token indices run over the whole
     corpus, byte offsets stay each text's own.  Every text start is a
     sentence boundary, so no match crosses a text and counts over the
-    corpus equal the per-text counts summed."""
+    corpus equal the per-text counts summed.  The keys are interned over
+    the whole corpus; no text's own ``keys`` is built."""
     tokens: list[TaggedToken] = []
-    keys: list[tuple] = []
     boundaries: list[int] = []
     initials: list[int] = []
     starts: list[int] = []
@@ -288,8 +290,8 @@ def join(tagged_texts: Iterable[TaggedText]) -> Corpus:
         boundaries.extend(at + i for i in tagged.boundaries)
         initials.extend(at + i for i in tagged.initials)
         tokens += tagged.tokens
-        keys += tagged.keys
-    return Corpus(tokens, keys, tuple(boundaries), tuple(initials), tuple(starts))
+    return Corpus(tokens, _interned_keys(tokens), tuple(boundaries), tuple(initials),
+                  tuple(starts))
 
 
 class RestrictedKeys(dict):
@@ -353,10 +355,10 @@ def tagging_coverage(tagged: TaggedText) -> float:
     return known / len(words)
 
 
-def dump_tagged(tagged: TaggedText) -> str:
+def dump_tagged(tokens: list[TaggedToken]) -> str:
     """Debug TSV: start, end, surface, semicolon-joined analyses."""
     lines = []
-    for tt in tagged.tokens:
+    for tt in tokens:
         rendered = ";".join(a.render() if a.lemma else a.category
                             for a in sorted(tt.analyses, key=lambda a: a.sort_key))
         lines.append(f"{tt.token.start}\t{tt.token.end}\t{tt.token.surface}\t{rendered}")

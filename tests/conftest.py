@@ -10,6 +10,7 @@ from lexgram.classify import ClassifiedCounts, classify_pn
 from lexgram.inflect import expand_lexicon, load_lemma_entries, load_paradigms
 from lexgram.lexicon import load_lexicon
 from lexgram.rtn import locate
+from lexgram.textproc import tag, tokenize
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO, "fixtures")
@@ -70,7 +71,9 @@ def corpus_docs(fixture_run):
 
 @pytest.fixture(scope="session")
 def tagged_docs(fixture_run):
-    return fixture_run.tagged_docs
+    """Each fixture document tagged on its own, as (doc_id, tagged text)."""
+    return [(doc_id, tag(tokenize(text), fixture_run.index, text, fixture_run.cfg.case_policy))
+            for doc_id, text in fixture_run.docs]
 
 
 @pytest.fixture(scope="session")

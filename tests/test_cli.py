@@ -8,6 +8,7 @@ import pytest
 from lexgram import classify, pipeline
 from lexgram.cli import main
 from lexgram.pipeline import parse_config, run_pipeline
+from lexgram.textproc import dump_tagged, tag, tokenize
 
 from conftest import FIXTURES, fixture_path
 
@@ -27,6 +28,14 @@ def copied_fixtures(tmp_path, edit):
     cfg = shutil.copytree(FIXTURES, tmp_path / "fixtures") / "run.cfg"
     cfg.write_text(edit(cfg.read_text(encoding="utf-8")), encoding="utf-8")
     return cfg
+
+
+def set_key(key, value):
+    """A ``copied_fixtures`` edit that sets ``key`` to ``value``."""
+    def edit(text):
+        lines = [l for l in text.splitlines() if not l.startswith(f"{key} =")]
+        return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+    return edit
 
 
 def test_run_writes_reports(tmp_path, capsys):
@@ -299,6 +308,52 @@ def test_repeated_subcategory_is_config_error(tmp_path, capsys):
     assert out == ""
     assert "ConfigError" in err and "repeated subcategory 'NCA'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lexicon", "lexicon/base.dic lexicon/base.dic"),
+    ("lemmas", "lexicon/pn.lem lexicon/nouns.lem lexicon/./pn.lem"),
+    ("paradigms", "lexicon/paradigms.par lexicon/paradigms.par"),
+    ("svc_grammar", "grammars/svc.grm grammars/../grammars/svc.grm"),
+])
+def test_repeated_path_is_config_error(tmp_path, capsys, key, value):
+    """A file named twice under one key would be read twice: its entries
+    counted twice, or its paradigms and graphs refused as duplicates."""
+    cfg = copied_fixtures(tmp_path, set_key(key, value))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "run", "-c", str(cfg), "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    repeated = os.path.normpath(cfg.parent / value.split()[0])
+    assert f"ConfigError: {key}: repeated file: {repeated}" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["policy", "case_policy", "alignment", "rounding"])
+def test_bad_enumerated_value_is_named(tmp_path, capsys, key):
+    cfg = copied_fixtures(tmp_path, set_key(key, "sideways"))
+    code, out, err = run_cli(capsys, "index", "-c", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"lexgram: ConfigError: bad {key} 'sideways'\n"
+
+
+def test_tag_dumps_each_document_tagged_alone(tmp_path, capsys):
+    """``tag`` prints the joined corpus; it must equal the documents
+    tagged and dumped one at a time, an empty one and a one-token one
+    included."""
+    cfg = copied_fixtures(tmp_path, lambda text: text)
+    (cfg.parent / "corpus" / "doc1b.txt").write_text("", encoding="utf-8")
+    (cfg.parent / "corpus" / "doc3.txt").write_text("Débat", encoding="utf-8")
+    run = pipeline.Run(parse_config(str(cfg)))
+    assert [doc_id for doc_id, _ in run.docs] == ["doc1", "doc1b", "doc2", "doc3"]
+    expected = "".join(
+        dump_tagged(tag(tokenize(text), run.index, text, run.cfg.case_policy).tokens)
+        for _, text in run.docs)
+    code, out, err = run_cli(capsys, "tag", "-c", str(cfg))
+    assert (code, err) == (0, "")
+    assert out == expected
+    assert out.splitlines()[-1].split("\t")[:3] == ["0", "6", "Débat"]
 
 
 def test_every_annotator_is_averaged(tmp_path):

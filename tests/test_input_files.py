@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from lexgram.cli import main
-from lexgram.errors import LexgramError, MalformedEntry, MalformedGraph
+from lexgram.errors import LexgramError, MalformedEntry, MalformedGold, MalformedGraph
 from lexgram.evaluation import load_gold
 from lexgram.inflect import load_lemma_entries, load_paradigms, parse_lemma_entry
 from lexgram.lexicon import load_lexicon, parse_entry
@@ -214,3 +214,18 @@ def test_read_text_is_strict_utf8(tmp_path):
         read_text(str(path), MalformedEntry)
     with pytest.raises(MalformedEntry, match="cannot read"):
         read_text(str(tmp_path / "missing"), MalformedEntry)
+
+
+@pytest.mark.parametrize("error, message", [
+    (MalformedEntry("bad", 7, 3, "a.dic"), "bad (a.dic, line 3, column 7)"),
+    (MalformedEntry("bad", 1), "bad (column 1)"),
+    (MalformedEntry("bad", line=1, path="a.dic"), "bad (a.dic, line 1)"),
+    (MalformedEntry("bad"), "bad"),
+    (MalformedGold("bad", 12, "g.tsv"), "bad (g.tsv, line 12)"),
+    (MalformedGold("bad", 1), "bad (line 1)"),
+    (MalformedGold("bad", path="g.tsv"), "bad (g.tsv)"),
+    (MalformedGold("bad"), "bad"),
+])
+def test_error_locations(error, message):
+    # only the parts given are named; 1 is a line or column like any other
+    assert str(error) == message

@@ -149,9 +149,9 @@ def test_classify_pn_equal_starts_and_nesting():
 
 # -- build_concordance --------------------------------------------------------------
 
-def concordance_whole_text(matches, tagged, width, doc_id):
+def concordance_whole_text(matches, text, width, doc_id):
     """Contexts cut from a decode of the whole prefix and suffix."""
-    blob = tagged.source_bytes()
+    blob = text.encode("utf-8")
     lines = []
     for m in matches:
         center = blob[m.start_byte:m.end_byte].decode("utf-8")
@@ -166,7 +166,7 @@ _PIECES = ["a", "é", "ﬁ", "𝐀", "ab", "ça", "€", "𝄞", "€€", "𝄞
            " ", " ", "\n", "."]
 
 
-def _tagged_with_matches(pieces, picks):
+def _text_with_matches(pieces, picks):
     text = "".join(pieces)
     tagged = tag(tokenize(text), _INDEX, text)
     toks = tagged.tokens
@@ -176,7 +176,7 @@ def _tagged_with_matches(pieces, picks):
             s = a % len(toks)
             e = min(len(toks), s + n)
             matches.append(Match(s, e, toks[s].token.start, toks[e - 1].token.end, "G", {}))
-    return text, tagged, matches
+    return text, matches
 
 
 @settings(max_examples=CASES, deadline=None)
@@ -184,10 +184,10 @@ def _tagged_with_matches(pieces, picks):
        picks=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 3)), max_size=6),
        width=st.integers(0, 40))
 def test_concordance_equals_whole_text_decode(pieces, picks, width):
-    text, tagged, matches = _tagged_with_matches(pieces, picks)
+    text, matches = _text_with_matches(pieces, picks)
     for w in (width, len(text) + 3):
-        assert (build_concordance(matches, tagged, w, "d")
-                == concordance_whole_text(matches, tagged, w, "d"))
+        assert (build_concordance(matches, text, w, "d")
+                == concordance_whole_text(matches, text, w, "d"))
 
 
 def test_concordance_windows_at_multibyte_edges():
@@ -195,11 +195,11 @@ def test_concordance_windows_at_multibyte_edges():
     # 1 to 4 bytes, so each window edge lands inside some character
     pieces = ["𝄞a", " ", "é€", " ", "ab", " ", "€𝄞", " ", "x", " ", "𝐀é", " ",
               "𝐀𝐀𝐀𝐀", "𝄞𝄞", "𝐀𝐀𝐀", " ", "a"]
-    text, tagged, matches = _tagged_with_matches(
+    text, matches = _text_with_matches(
         pieces, [(i, n) for i in range(12) for n in (1, 2)])
     for width in range(len(text) + 2):
-        assert (build_concordance(matches, tagged, width, "d")
-                == concordance_whole_text(matches, tagged, width, "d"))
+        assert (build_concordance(matches, text, width, "d")
+                == concordance_whole_text(matches, text, width, "d"))
 
 
 # -- tokenizer ----------------------------------------------------------------------

@@ -319,9 +319,9 @@ def test_match_line_bijection_randomized():
         graph = random_flat_graph(rng)
         matches = locate(graph, tagged, "all")
         width = rng.randrange(0, 12)
-        lines = build_concordance(matches, tagged, width, "doc")
+        lines = build_concordance(matches, tagged.source, width, "doc")
         assert len(lines) == len(matches)
-        blob = tagged.source_bytes()
+        blob = tagged.source.encode("utf-8")
         for line in lines:
             assert line.center == \
                 blob[line.match.start_byte:line.match.end_byte].decode("utf-8")

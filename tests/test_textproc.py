@@ -141,6 +141,12 @@ def test_equal_tokens_share_one_analysis_set_and_key_in_every_text():
         assert len({id(key) for key in tagged.keys}) == len(set(tagged.keys))
 
 
+def test_corpus_keys_are_one_object_per_distinct_key(fixture_run):
+    # the joined corpus interns its keys once across documents
+    keys = fixture_run.corpus.keys
+    assert len({id(key) for key in keys}) == len(set(keys))
+
+
 def test_tag_folds_only_sentence_initial():
     text = "Débat. On Débat."
     tagged = tag(tokenize(text), small_index(), text)
@@ -206,7 +212,7 @@ def test_fixture_corpus_coverage(tagged_docs):
 def test_dump_tagged_format():
     text = "le données"
     tagged = tag(tokenize(text), small_index(), text)
-    lines = dump_tagged(tagged).splitlines()
+    lines = dump_tagged(tagged.tokens).splitlines()
     assert lines[0].split("\t")[:3] == ["0", "2", "le"]
     assert "donner.V+Supp:Kfp" in lines[1]
     assert ";" in lines[1]
