@@ -20,9 +20,11 @@ Each paradigm reduces its rules once to a plan, the net edit of each rule
 (characters to cut, suffix to append), which ``generate``,
 ``expand_lexicon`` and the index all apply.  Expanding a lemma entry
 emits one inflected lexicon entry per distinct (form, code).  The run
-path skips those entries: ``index_lemma_file`` checks each lemma row's
-head once and adds the row to a ``lexicon.LexIndex``, which maps each
-generated form to a packed reference to its row and rule.
+path skips those entries: ``index_lemma_file`` groups a lemma file's rows
+by head (category, features, paradigm name), checks each head once for
+all its rows, builds each rule's forms for the group as one column and
+adds the group to a ``lexicon.LexIndex`` with ``add_rows``, which maps
+each generated form to a packed reference to its row and rule.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import LemmaTooShort, MalformedEntry, MalformedParadigm, UnknownParadigm
-from .lexicon import _TAG, LexEntry, LexIndex, _scan_tag, load_entries, scan_head
+from .lexicon import _TAG, LexEntry, LexIndex, _checked_head, _scan_tag, load_entries, scan_head
 from .source import content_lines, read_text
 
 DELETE_OP = "L"
@@ -242,40 +244,83 @@ def load_lemma_entries(path: str) -> list[LemmaEntry]:
     return load_entries(path, parse_lemma_entry)
 
 
-def _inflect(lemma: str, paradigm_name: str,
-             paradigms: dict[str, Paradigm]) -> tuple[Paradigm, list[str]]:
-    """The paradigm a lemma row names and ``Paradigm.forms`` for its lemma,
-    the errors naming the row."""
-    paradigm = paradigms.get(paradigm_name)
-    if paradigm is None:
-        raise UnknownParadigm(f"lemma {lemma!r} names unknown paradigm "
-                              f"{paradigm_name!r}")
-    try:
-        return paradigm, paradigm.forms(lemma)
-    except LemmaTooShort as err:
-        raise LemmaTooShort(f"lemma {lemma!r}, paradigm "
-                            f"{paradigm_name!r}: {err}") from err
-
-
 def expand_lexicon(lemma_entries: list[LemmaEntry],
                    paradigms: dict[str, Paradigm]) -> list[LexEntry]:
     """Inflect every lemma entry; output order is input order then rule
-    order, so repeated runs are byte-identical."""
+    order, so repeated runs are byte-identical.  The errors name the row."""
     out: list[LexEntry] = []
     for le in lemma_entries:
-        paradigm, forms = _inflect(le.lemma, le.paradigm_name, paradigms)
+        paradigm = paradigms.get(le.paradigm_name)
+        if paradigm is None:
+            raise UnknownParadigm(f"lemma {le.lemma!r} names unknown paradigm "
+                                  f"{le.paradigm_name!r}")
+        try:
+            forms = paradigm.forms(le.lemma)
+        except LemmaTooShort as err:
+            raise LemmaTooShort(f"lemma {le.lemma!r}, paradigm "
+                                f"{le.paradigm_name!r}: {err}") from err
         for form, code in dict.fromkeys(zip(forms, paradigm.codes)):
             out.append(LexEntry(form, le.lemma, le.category,
                                 le.sem_features, (code,)))
     return out
 
 
+def _lemma_groups(text: str, path: str) -> dict[tuple[str, tuple[str, ...], str], list[str]]:
+    """The lemmas of each head (category, features, paradigm name) of a
+    lemma file, in file order, the heads in order of first appearance.  The
+    whole file is parsed, with the errors of ``load_lemma_entries``.  A line
+    whose lemma holds no escape joins the group of the raw text after its
+    first dot, once ``_LEMMA_LINE`` has read that text; any other line goes
+    through ``_lemma_row``."""
+    groups: dict[tuple[str, tuple[str, ...], str], list[str]] = {}
+    by_raw_head: dict[str, list[str]] = {}
+    for lineno, line in content_lines(text):
+        lemma, _, head = line.partition(".")
+        lemmas = by_raw_head.get(head)
+        if lemmas is None or not lemma or "\\" in lemma:
+            try:
+                row = _lemma_row(line)
+            except MalformedEntry as err:
+                err.line = lineno
+                err.path = str(path)
+                raise
+            lemmas = groups.setdefault(row[1:], [])
+            if "\\" not in lemma:
+                by_raw_head[head] = lemmas
+            lemma = row[0]
+        lemmas.append(lemma)
+    return groups
+
+
+def _column(lemmas: list[str], cut: int, suffix: str) -> list[str]:
+    """One rule's form for each lemma, every lemma at least the paradigm's
+    ``min_len`` long; a rule that edits nothing gives the lemma list."""
+    if cut:
+        return [lemma[:-cut] + suffix for lemma in lemmas]
+    return [lemma + suffix for lemma in lemmas] if suffix else lemmas
+
+
 def index_lemma_file(path: str, paradigms: dict[str, Paradigm], index: LexIndex) -> None:
-    """Add the rows of a lemma file to ``index``, with the errors of
-    ``expand_lexicon(load_lemma_entries(path), paradigms)``: the whole file
-    is parsed first, then each row is inflected and its head checked once.
+    """Add the rows of a lemma file to ``index`` in one batch per head, with
+    the errors of ``expand_lexicon(load_lemma_entries(path), paradigms)``.
+    The whole file is parsed first.  Then each head is checked once, for
+    all its rows: its paradigm exists, its shortest lemma is ``min_len``
+    long, and it links no support verb without PN.  Only when a check
+    fails are the rows walked again, by ``expand_lexicon``, which raises
+    the error of the first failing row in file order.  Each rule's forms
+    are then built as one column and added by ``LexIndex.add_rows``.
     Paradigm files never repeat a code within a paradigm, so a row's
     (form, code) pairs are distinct."""
-    for lemma, category, features, name in load_entries(path, _lemma_row):
-        paradigm, forms = _inflect(lemma, name, paradigms)
-        index.add_row(lemma, category, features, paradigm.codes, forms)
+    text = read_text(path, lambda reason: MalformedEntry(reason, path=str(path)))
+    groups = _lemma_groups(text, path)
+    for (category, features, name), lemmas in groups.items():
+        paradigm = paradigms.get(name)
+        if (paradigm is None or min(map(len, lemmas)) < paradigm.min_len
+                or _checked_head(category, features)[1]):
+            # raises, as some row of this head fails
+            expand_lexicon([parse_lemma_entry(line) for _, line in content_lines(text)],
+                           paradigms)
+    for (category, features, name), lemmas in groups.items():
+        paradigm = paradigms[name]
+        index.add_rows(lemmas, category, features, paradigm.codes,
+                       [_column(lemmas, cut, suffix) for cut, suffix in paradigm.edits])

@@ -21,6 +21,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import MalformedEntry
 from .source import content_lines, read_text
@@ -268,19 +269,22 @@ class LexIndex:
     analyses (static lexicon lines), to one packed reference into the
     table of checked lemma rows, or to a list of several of these.  A
     reference is ``row * width + i`` for the ``i``-th rule of the row's
-    paradigm, ``width`` being the largest rule count of any paradigm.  A
-    row is (lemma, category, checked features, the codes of its
-    paradigm's rules).  Each static line and each generated form counts as
-    one entry.  Pure to readers; the first ``get`` of a generated form
-    builds its frozenset and stores it in place of the references, so
-    every later call for the form returns the same object.
+    paradigm, ``width`` being the largest rule count of any paradigm.  The
+    row table holds each row's lemma, and beside it the row's head:
+    category, checked features and the codes of its paradigm's rules, one
+    tuple shared by every row that ``add_rows`` adds in one call.  Each
+    static line and each generated form counts as one entry.  Pure to
+    readers; the first ``get`` of a generated form builds its frozenset
+    and stores it in place of the references, so every later call for the
+    form returns the same object.
     """
 
-    __slots__ = ("_forms", "_rows", "_width", "num_entries", "_num_analyses")
+    __slots__ = ("_forms", "_lemmas", "_heads", "_width", "num_entries", "_num_analyses")
 
     def __init__(self, entries: list[LexEntry] = (), width: int = 1):
         self._forms: dict[str, frozenset[Analysis] | int | list] = {}
-        self._rows: list[tuple[str, str, frozenset[str], tuple[str, ...]]] = []
+        self._lemmas: list[str] = []
+        self._heads: list[tuple[str, frozenset[str], tuple[str, ...]]] = []
         self._width = width
         self.num_entries = len(entries)
         self._num_analyses: int | None = None
@@ -290,30 +294,45 @@ class LexIndex:
             known = forms.get(entry.form)
             forms[entry.form] = analyses if known is None else known | analyses
 
-    def add_row(self, lemma: str, category: str, sem_features: tuple[str, ...],
-                codes: tuple[str, ...], forms: list[str]) -> None:
-        """Index ``forms[i]`` with code ``codes[i]`` for one lemma row: the
-        entries ``LexEntry(forms[i], lemma, category, sem_features,
-        (codes[i],))``, with the head checked once and the same error.  The
-        forms and the lemma must be non-empty and the codes legal and
-        distinct, as the paradigm reader and ``Paradigm.forms`` ensure."""
-        if len(codes) > self._width:
-            raise ValueError(f"{len(codes)} codes in an index {self._width} wide")
+    def add_rows(self, lemmas: list[str], category: str, sem_features: tuple[str, ...],
+                 codes: tuple[str, ...], columns: list[list[str]]) -> None:
+        """Index ``columns[i][j]`` with code ``codes[i]`` for the lemma
+        ``lemmas[j]``: the entries ``LexEntry(columns[i][j], lemmas[j],
+        category, sem_features, (codes[i],))`` for every rule ``i`` and row
+        ``j``, with the head checked once, for all rows, and the same error.
+        The forms and lemmas must be non-empty and the codes legal and
+        distinct, as the paradigm reader and ``Paradigm.min_len`` ensure.
+        Each column enters the form map by ``dict`` operations; only a form
+        already indexed, or repeated within the column, is merged one by
+        one."""
+        width = self._width
+        if len(codes) > width:
+            raise ValueError(f"{len(codes)} codes in an index {width} wide")
         feats, unlinked = _checked_head(category, sem_features)
         if unlinked:
             raise MalformedEntry(_UNLINKED_ENTRY)
-        ref = len(self._rows) * self._width
-        self._rows.append((lemma, category, feats, codes))
+        first = len(self._lemmas) * width
+        self._lemmas += lemmas
+        self._heads += repeat((category, feats, codes), len(lemmas))
+        stop = len(self._lemmas) * width
         by_form = self._forms
-        for form in forms:
-            known = by_form.setdefault(form, ref)
-            if known is not ref:
-                if type(known) is list:
-                    known.append(ref)
-                else:
-                    by_form[form] = [known, ref]
-            ref += 1
-        self.num_entries += len(forms)
+        for i, column in enumerate(columns):
+            refs = range(first + i, stop, width)
+            new = dict(zip(column, refs))
+            if len(new) < len(column):  # a repeated form kept only its last reference
+                for ref in set(refs).difference(new.values()):
+                    kept = new[form := column[(ref - first) // width]]
+                    if type(kept) is list:
+                        kept.append(ref)
+                    else:
+                        new[form] = [kept, ref]
+            for form in by_form.keys() & new.keys():  # already indexed
+                known, added = by_form[form], new[form]
+                merged = known if type(known) is list else [known]
+                merged += added if type(added) is list else [added]
+                new[form] = merged
+            by_form.update(new)
+        self.num_entries += len(lemmas) * len(columns)
         self._num_analyses = None
 
     @property
@@ -333,13 +352,13 @@ class LexIndex:
         found = self._forms.get(form, _NO_ANALYSES)
         if type(found) is frozenset:
             return found
-        rows, width = self._rows, self._width
+        lemmas, heads, width = self._lemmas, self._heads, self._width
         out: set[Analysis] = set()
         for ref in [found] if type(found) is int else found:
             if type(ref) is int:
                 row, i = divmod(ref, width)
-                lemma, category, feats, codes = rows[row]
-                out.add(_checked_analysis(lemma, category, feats, codes[i]))
+                category, feats, codes = heads[row]
+                out.add(_checked_analysis(lemmas[row], category, feats, codes[i]))
             else:
                 out |= ref
         found = self._forms[form] = frozenset(out)

@@ -1,17 +1,20 @@
 """Lemma rows indexed directly, against the ``LexEntry`` path they replace.
 
-``pipeline.build_entries`` checks each lemma row's head once and maps
-each generated form to a packed reference into a table of rows; the
-index builds a form's analysis set on its first ``get``.
+``pipeline.build_entries`` checks each head of a lemma file once for
+all its rows and maps each generated form to a packed reference into a
+table of rows; the index builds a form's analysis set on its first
+``get``.
 ``conftest.reference_entries`` builds the same lexicon as ``LexEntry``
 lines through ``load_lexicon`` and ``expand_lexicon``, and
 ``build_index`` of those is eager.  The properties below hold the two
-to the same index and the same errors, a paradigm's plan to its
+to the same index and the same first error, on files with blank,
+comment and indented lines and any line break, a paradigm's plan to its
 operator loop, and the lemma-line regex to the scanner.
 """
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 
 import pytest
@@ -115,13 +118,13 @@ def paradigm_files(draw, min_paradigms=1, ops=_OPS):
 
 @st.composite
 def valid_lemma_lines(draw):
-    """Lemma lines over two letters, so forms collide across rows, that name
-    P0-P2 and link no support verb without PN; a lemma of 2-5 letters may
-    still be too short for a rule."""
+    """Lemma lines over two letters and a dot, which is escaped, so forms
+    collide across rows, that name P0-P2 and link no support verb without
+    PN; a lemma of 2-5 characters may still be too short for a rule."""
     features = draw(st.lists(st.sampled_from(["PN", "NCA", "Supp", "NCA"]), max_size=3))
     if "PN" in features and draw(st.booleans()):
         features.append("SV=avoir")
-    return (draw(st.text(alphabet="ab", min_size=2, max_size=5))
+    return (_escape(draw(st.text(alphabet="aabb.", min_size=2, max_size=5)))
             + "." + draw(st.sampled_from(["N", "V"]))
             + "".join("+" + f for f in features) + ":" + draw(st.sampled_from(["P0", "P1", "P2"])))
 
@@ -137,25 +140,57 @@ def _counts(index):
     return index.num_entries, index.num_forms, index.num_analyses
 
 
-def _assert_same_index(paradigms, lemma_files, static, data):
-    """Same forms, analysis sets and counts, or the same first error.  The
-    counts agree before any ``get`` and after some; ``get`` agrees in any
-    order, unknown forms included, and returns one object per form."""
-    with tempfile.TemporaryDirectory() as root:
-        def write(name, lines):
-            with open(os.path.join(root, name), "w", encoding="utf-8") as handle:
-                handle.write("".join(line + "\n" for line in lines))
-            return name
+# lines that every reader skips: blank, whitespace-only and comments
+_SKIPPED = ["", "  ", "\t", "\u3000", "# a comment", "  # an indented comment"]
 
-        lemmas = [write(f"l{i}.lem", rows) for i, rows in enumerate(lemma_files)]
-        keys = [f"paradigms = {write('p.par', [paradigms])}",
-                f"lemmas = {' '.join(lemmas)}",
-                f"pn_grammar = {fixture_path('grammars', 'pn.grm')}",
-                f"svc_grammar = {fixture_path('grammars', 'svc.grm')}",
-                f"corpus = {fixture_path('corpus', '*.txt')}"]
-        if static:
-            keys.append(f"lexicon = {write('s.dic', static)}")
-        cfg = pipeline.parse_config(os.path.join(root, write("run.cfg", keys)))
+
+@st.composite
+def noisy_file(draw, rows):
+    """A file of ``rows`` (lemma lines ending in their head) with file-level
+    noise: skipped lines between them, some rows indented (their lemma
+    starts with spaces), the first row's head again on a later line, and
+    each line ended by LF, CRLF or CR."""
+    rows = list(rows)
+    if rows and draw(st.booleans()):
+        lemma = draw(st.sampled_from(["ba", "bab", "a\\.b", "a\\+b", "b\\,a"]))
+        rows.insert(draw(st.integers(min(2, len(rows)), len(rows))),
+                    lemma + "." + rows[0].rpartition(".")[2])
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(_SKIPPED), max_size=2))
+        lines.append(" " * draw(st.integers(0, 2)) + row)
+    lines += draw(st.lists(st.sampled_from(_SKIPPED), max_size=1))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+
+
+def _config(root, paradigms, lemma_texts, static):
+    """A run config in ``root``: the fixture grammars and corpus, one
+    paradigm file, a lemma file of each text and, when there are any, a
+    static lexicon of the ``static`` lines."""
+    def write(name, text):
+        with open(os.path.join(root, name), "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return name
+
+    lemmas = [write(f"l{i}.lem", text) for i, text in enumerate(lemma_texts)]
+    keys = [f"paradigms = {write('p.par', paradigms)}",
+            f"lemmas = {' '.join(lemmas)}",
+            f"pn_grammar = {fixture_path('grammars', 'pn.grm')}",
+            f"svc_grammar = {fixture_path('grammars', 'svc.grm')}",
+            f"corpus = {fixture_path('corpus', '*.txt')}"]
+    if static:
+        keys.append("lexicon = " + write("s.dic", "\n".join(static)))
+    return pipeline.parse_config(os.path.join(root, write("run.cfg", "\n".join(keys))))
+
+
+def _assert_same_index(paradigms, lemma_files, static, data):
+    """Same forms, analysis sets and counts, or the same first error, for
+    the rows of each lemma file written with file-level noise.  The counts
+    agree before any ``get`` and after some; ``get`` agrees in any order,
+    unknown forms included, and returns one object per form."""
+    texts = [data.draw(noisy_file(rows)) for rows in lemma_files]
+    with tempfile.TemporaryDirectory() as root:
+        cfg = _config(root, paradigms, texts, static)
         eager = outcome(lambda: build_index(reference_entries(cfg)))
         direct = outcome(lambda: build_index(pipeline.build_entries(cfg)))
         if isinstance(eager, tuple) or isinstance(direct, tuple):  # a lexicon error
@@ -213,15 +248,38 @@ def test_fixture_index_equals_lex_entry_index(run_config, entries):
         {form: eager.get(form) for form in eager.forms()}
 
 
+_FIRST_ERROR_ROWS = ["abc.N:P0", "ba.N:P9", "a.N:P0", "x.N+SV=avoir:P0"]
+
+
+@pytest.mark.parametrize("tail, error, message", [
+    ([], "UnknownParadigm", r"lemma 'ba' names unknown paradigm 'P9'"),
+    ([".N:P0"], "MalformedEntry", r"empty lemma \(.*l0\.lem, line 5, column 1\)"),
+    (["a\\.b.N:P0", "x.b.N:P0"], "MalformedEntry",
+     r"missing paradigm name \(.*l0\.lem, line 6, column 4\)"),
+])
+def test_first_error_in_file_order_across_heads(tmp_path, tail, error, message):
+    """Rows are checked one head at a time, but the error is that of the
+    first failing row in file order: ``'ba'`` on line 2, not ``'a'`` on
+    line 3, whose head first appeared on line 1.  A parse error anywhere
+    in the file comes before every row error: an empty lemma before a head
+    already read, or a head that is only the text after the first dot of
+    an escaped lemma."""
+    text = "".join(row + "\n" for row in _FIRST_ERROR_ROWS + tail)
+    cfg = _config(str(tmp_path), "paradigm P0: L L x:ms", [text], [])
+    got = outcome(pipeline.build_entries, cfg)
+    assert got == outcome(reference_entries, cfg)
+    assert got[0] == error and re.fullmatch(message, got[1])
+
+
 # -- the checks the direct path skips ------------------------------------------
 
 def test_public_constructors_still_check_the_link():
     """The run path builds analyses without ``__post_init__``; it raises for
-    a support-verb link without PN once per row, and the public
+    a support-verb link without PN once per head, and the public
     constructors still raise for it on every call."""
     unlinked = ("N", ("SV=avoir",))
     with pytest.raises(MalformedEntry) as err:
-        LexIndex().add_row("vol", *unlinked, ("ms",), ["vol"])
+        LexIndex().add_rows(["vol"], *unlinked, ("ms",), [["vol"]])
     assert err.value.reason == "support-verb link on an entry without the PN feature"
     for _ in range(2):
         with pytest.raises(MalformedEntry):
@@ -230,7 +288,7 @@ def test_public_constructors_still_check_the_link():
             LexEntry("vol", "vol", *unlinked, ("ms",))
     linked = ("N", ("PN", "SV=avoir"))
     index = LexIndex()
-    index.add_row("vol", *linked, ("mp",), ["vols"])
+    index.add_rows(["vol"], *linked, ("mp",), [["vols"]])
     [analysis] = index.get("vols")
     assert analysis == Analysis("vol", "N", frozenset(linked[1]), "mp")
     assert LexEntry("vols", "vol", *linked, ("mp",)).analyses() == (analysis,)
@@ -240,9 +298,9 @@ def test_row_wider_than_the_table_is_refused():
     """A row with more codes than the index's width would share references
     with the next row."""
     index = LexIndex(width=2)
-    index.add_row("vol", "N", (), ("ms", "mp"), ["vol", "vols"])
+    index.add_rows(["vol"], "N", (), ("ms", "mp"), [["vol"], ["vols"]])
     with pytest.raises(ValueError):
-        index.add_row("vol", "N", (), ("ms", "mp", "fs"), ["vol", "vols", "vole"])
+        index.add_rows(["vol"], "N", (), ("ms", "mp", "fs"), [["vol"], ["vols"], ["vole"]])
     assert index.get("vols") == {Analysis("vol", "N", frozenset(), "mp")}
 
 
