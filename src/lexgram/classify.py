@@ -8,7 +8,7 @@ still counts once: the statistics are per occurrence.
 
 Every scope, the global row and each subcategory row (whose keys
 ``textproc.RestrictedKeys`` restricts), counts over the one corpus that
-``textproc.join`` builds.  A noun listed under two subcategories is
+``textproc.build_corpus`` builds.  A noun listed under two subcategories is
 counted in both rows, so subcategory counts may sum above the global
 row.
 """

@@ -53,7 +53,7 @@ from .lexicon import (
 )
 from .rtn import POLICIES, Grammar, Graph, Match, flatten, load_grammar, locate
 from .source import content_lines, natural, read_text
-from .textproc import Corpus, join, tag, tokenize
+from .textproc import Corpus, build_corpus
 
 _LIST_KEYS = {"lexicon", "lemmas", "paradigms", "pn_grammar", "svc_grammar",
               "pn_grammar_nca", "pn_grammar_ncf", "pn_grammar_cv",
@@ -310,8 +310,8 @@ class Run:
 
     Each stage is computed on first use and kept, so a subcommand pays
     only for the stages it reads and none runs twice.  A run holds each
-    document once as text (``docs``) and once tagged, in ``corpus``, which
-    every scope reads.  ``located`` splits
+    document once as text (``docs``) and its tokens once, as the columns
+    of ``corpus``, which every scope reads.  ``located`` splits
     a main grammar's ("pn" or "svc") matches over it per document, at
     corpus token indices; ``lines`` takes the same names.
     """
@@ -342,15 +342,15 @@ class Run:
 
     @cached_property
     def corpus(self) -> Corpus:
-        return join(tag(tokenize(text), self.index, text, self.cfg.case_policy)
-                    for _, text in self.docs)
+        return build_corpus((text for _, text in self.docs), self.index,
+                            self.cfg.case_policy)
 
     def located(self, which: str) -> list[tuple[str, list[Match]]]:
         key = ("located", which)
         if key not in self._per_grammar:
             matches = locate(getattr(self.flats, which), self.corpus, self.cfg.policy)
             cuts = [bisect_left(matches, start, key=lambda m: m.start_token)
-                    for start in (*self.corpus.starts, len(self.corpus.tokens))]
+                    for start in (*self.corpus.starts, len(self.corpus.keys))]
             self._per_grammar[key] = [(doc_id, matches[lo:hi]) for (doc_id, _), lo, hi
                                       in zip(self.docs, cuts, cuts[1:])]
         return self._per_grammar[key]

@@ -739,10 +739,7 @@ def _select(accepts: dict[int, Bindings], policy: str) -> list[int]:
 
 def _make_match(tagged: TaggedText | Corpus, start: int, end: int, name: str,
                 bindings: Bindings) -> Match:
-    return Match(start, end,
-                 tagged.tokens[start].token.start,
-                 tagged.tokens[end - 1].token.end,
-                 name, dict(bindings))
+    return Match(start, end, *tagged.byte_span(start, end), name, dict(bindings))
 
 
 def locate(flat: Graph, tagged: TaggedText | Corpus, policy: str = POLICY_LONGEST) -> list[Match]:

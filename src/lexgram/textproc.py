@@ -1,12 +1,14 @@
-"""Tokenization with byte offsets and lexical tagging.
+"""Tokenization, lexical tagging, and the run's corpus as columns.
 
 A word token is a maximal run of letters, including hyphens and
 apostrophes that sit between letters.  A 1-2 letter prefix ending in an
 apostrophe (elided articles such as ``l'``) is split off as its own word
 token.  Digit runs are number tokens, anything else is a one-character
-punctuation token.  A sentence boundary falls after ``.`` ``!`` ``?``
-followed by at least one space, tab, CR or LF and an uppercase letter;
-``tokenize`` finds the boundaries once and marks them on the tokens.
+punctuation token, so a token's kind follows from its first character.
+A sentence opens after ``.`` ``!`` ``?`` followed by at least one space,
+tab, CR or LF and an uppercase letter; one regex (``_OPENING``) finds
+these openings in a whole text.  The first word of every sentence is
+sentence-initial.
 
 One compiled regex proposes the runs: a run of letters and digits
 (``str.isalnum``) joined by single hyphens or apostrophes, or any one
@@ -21,19 +23,34 @@ two letters, which the regex joins too.  For ``str`` patterns ``re``
 takes ``\\w`` and ``\\s`` from the same Unicode database as
 ``str.isalnum`` and ``str.isspace``, so the agreement holds under every
 Python version; ``_`` is a ``\\w`` character and is excluded by name.
-Byte offsets grow token by token, and only the gaps and surfaces that
-are not ASCII are encoded.
+``_columns`` makes this one pass per text and returns each token's
+surface and character start.  An opening always falls on an uppercase
+letter right after spaces, so it is the start of a word token, which
+opens its sentence and is its initial; only the first sentence of a
+text is searched for its first word.
 
-Tagging attaches every analysis the lexicon has for a token; ambiguity is
-deliberately never pruned.  Words the lexicon does not cover get the
-UNKNOWN pseudo-analysis so downstream code can treat the token stream as
-fully annotated.
+``build_corpus`` is the run's path: it writes every text's tokens into
+one ``Corpus`` of columns and builds no token object.  A token's key
+(surface, analyses) depends only on its surface and on whether it is a
+sentence-initial word, so two maps per corpus, filled on first use,
+look each distinct surface up once.  Byte offsets are not stored: a
+corpus keeps its texts and each token's character start, and converts
+on demand with one table per text, built on first use by one scan for
+non-ASCII characters; an ASCII text's table is empty.
+
+``tokenize`` and ``tag`` stay the per-document API over the same scan
+and the same analysis rule (``_analyses``): ``Token`` objects with byte
+offsets and sentence marks, and ``TaggedToken`` objects with their
+analyses.  Tagging attaches every analysis the lexicon has for a token;
+ambiguity is deliberately never pruned.  Words the lexicon does not
+cover get the UNKNOWN pseudo-analysis so downstream code can treat the
+token stream as fully annotated.
 """
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -49,13 +66,16 @@ UNKNOWN = Analysis(lemma="?", category="UNKNOWN", sem_features=frozenset())
 UNKNOWN_ANALYSES = frozenset([UNKNOWN])
 
 _APOSTROPHES = ("'", "’")
-_SENTENCE_FINAL = (".", "!", "?")
-_BOUNDARY_SPACE = (" ", "\t", "\r", "\n")
 _OPENERS = "([{«"
 _CLOSERS = ")]}»"
 # A run of letters and digits joined by single hyphens or apostrophes, or
 # one other non-space character.
 _CANDIDATE = re.compile(r"[^\W_]+(?:[-'’][^\W_]+)*|\S")
+# Sentence-final punctuation and boundary spaces before a letter-like
+# character; the opening is there when that character is an uppercase
+# letter.  The lookahead leaves the character for the next search.
+_OPENING = re.compile(r"[.!?][ \t\r\n]+(?=[^\W\d_])")
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
 @dataclass(slots=True)
@@ -74,8 +94,7 @@ class Token:
 
 @dataclass(slots=True)
 class TaggedToken:
-    """A token and its analyses.  The corpus that ``join`` builds shares
-    instances with the tagged texts, so a tagged token is never mutated."""
+    """A token and its analyses; read-only, like its token."""
 
     token: Token
     analyses: frozenset[Analysis]
@@ -101,8 +120,11 @@ class TaggedText:
 
     @cached_property
     def keys(self) -> list[tuple[str, frozenset[Analysis]]]:
-        """Each token's (surface, analyses), interned on first read."""
-        return _interned_keys(self.tokens)
+        """Each token's (surface, analyses), interned on first read: equal
+        keys are one tuple, so the matcher's caches hit by identity."""
+        interned: dict[tuple, tuple] = {}
+        return [interned.setdefault(key := (tt.token.surface, tt.analyses), key)
+                for tt in self.tokens]
 
     def sentence_end(self, index: int) -> int:
         """Index one past the last token of the sentence containing ``index``."""
@@ -111,20 +133,15 @@ class TaggedText:
             return self.boundaries[at]
         return len(self.tokens)
 
-
-def _interned_keys(tokens: list[TaggedToken]) -> list[tuple[str, frozenset[Analysis]]]:
-    """The tokens' (surface, analyses), what a grammar's labels read of them.
-    Equal keys are one tuple, so the matcher's caches hit by identity and a
-    long token list holds one tuple per distinct key."""
-    interned: dict[tuple, tuple] = {}
-    return [interned.setdefault(key := (tt.token.surface, tt.analyses), key)
-            for tt in tokens]
+    def byte_span(self, start: int, end: int) -> tuple[int, int]:
+        """Byte offsets of the tokens [start, end)."""
+        return self.tokens[start].token.start, self.tokens[end - 1].token.end
 
 
 def _scan(run: str) -> list[tuple[int, int, str]]:
     """The character loop: token spans of ``run`` as (start, end, kind).
 
-    ``tokenize`` calls it on the proposed runs that are neither all
+    ``_columns`` calls it on the proposed runs that are neither all
     letters nor all digits, such as elisions (``L'entretien``), ``3e``
     or ``x²``."""
     raws: list[tuple[int, int, str]] = []
@@ -170,52 +187,79 @@ def _scan(run: str) -> list[tuple[int, int, str]]:
     return raws
 
 
-def _spans(text: str) -> Iterator[tuple[int, int, str]]:
-    """Token spans of ``text`` as (start_char, end_char, kind), in order."""
+def _columns(text: str) -> tuple[list[str], list[int], list[int]]:
+    """One pass over ``text``: each token's surface and character start,
+    and the indices of the tokens that open a sentence after the first."""
+    if not isinstance(text, str):
+        raise InvalidEncoding("tokenize expects decoded text")
+    surfaces: list[str] = []
+    starts: list[int] = []
+    add_surface, add_start = surfaces.append, starts.append
     for match in _CANDIDATE.finditer(text):
-        run = match.group()
-        if run.isalpha():
-            yield match.start(), match.end(), WORD
-        elif run.isdigit():
-            yield match.start(), match.end(), NUMBER
-        elif len(run) == 1:
-            yield match.start(), match.end(), PUNCT
+        run = match[0]
+        if run.isalpha() or run.isdigit() or len(run) == 1:
+            add_surface(run)
+            add_start(match.start())
         else:
             at = match.start()
-            for s, e, kind in _scan(run):
-                yield at + s, at + e, kind
+            for s, e, _ in _scan(run):
+                add_surface(run[s:e])
+                add_start(at + s)
+    openings: list[int] = []
+    at = 0
+    for match in _OPENING.finditer(text):
+        ch = text[match.end()]
+        if ch.isalpha() and ch.isupper():
+            # a word token starts at the letter, after every earlier opening
+            at = bisect_left(starts, match.end(), at)
+            openings.append(at)
+    return surfaces, starts, openings
 
 
-def _boundary_after(text: str, k: int) -> bool:
-    """Whether sentence-final punctuation ending at char ``k`` closes its
-    sentence: at least one space, tab, CR or LF, then an uppercase letter."""
-    j = k
-    while j < len(text) and text[j] in _BOUNDARY_SPACE:
-        j += 1
-    return k < j < len(text) and text[j].isalpha() and text[j].isupper()
+def _kind(surface: str) -> str:
+    first = surface[0]
+    return WORD if first.isalpha() else NUMBER if first.isdigit() else PUNCT
+
+
+def _initials(surfaces: list[str], openings: list[int]) -> list[int]:
+    """Indices of the sentence-initial words: the first word before the
+    first opening, if there is one, then every opening."""
+    for i in range(openings[0] if openings else len(surfaces)):
+        if _kind(surfaces[i]) == WORD:
+            return [i, *openings]
+    return openings
+
+
+def _byte_table(text: str) -> tuple[list[int], list[int]]:
+    """The character index of each non-ASCII character of ``text``, and
+    the extra UTF-8 bytes (beyond one per character) before each, plus
+    their total: character offset ``c`` is byte offset
+    ``c + extra[bisect_left(at, c)]``.  An ASCII text's table is empty
+    and needs no scan."""
+    at: list[int] = []
+    extra = [0]
+    if not text.isascii():
+        total = 0
+        for match in _NON_ASCII.finditer(text):
+            at.append(match.start())
+            total += len(match[0].encode("utf-8")) - 1
+            extra.append(total)
+    return at, extra
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokens with byte offsets, sentence openings and sentence-initial words."""
-    if not isinstance(text, str):
-        raise InvalidEncoding("tokenize expects decoded text")
-    tokens: list[Token] = []
-    pos = byte = 0  # char and byte offset of the end of the previous token
-    opens = False  # whether the next token opens a sentence
-    awaiting = True  # the first word token of every sentence is sentence-initial
-    for cs, ce, kind in _spans(text):
-        surface = text[cs:ce]
-        if cs > pos:
-            gap = text[pos:cs]
-            byte += len(gap) if gap.isascii() else len(gap.encode("utf-8"))
-        start, pos = byte, ce
-        byte += ce - cs if surface.isascii() else len(surface.encode("utf-8"))
-        awaiting = awaiting or opens
-        initial = awaiting and kind == WORD
-        awaiting = awaiting and not initial
-        tokens.append(Token(surface, start, byte, kind, initial, opens))
-        opens = kind == PUNCT and surface in _SENTENCE_FINAL and _boundary_after(text, ce)
-    return tokens
+    surfaces, starts, openings = _columns(text)
+    opens = set(openings)
+    initial = set(_initials(surfaces, openings))
+    at, extra = _byte_table(text)
+
+    def byte(char: int) -> int:
+        return char + extra[bisect_left(at, char)]
+
+    return [Token(surface, byte(start), byte(start + len(surface)), _kind(surface),
+                  i in initial, i in opens)
+            for i, (surface, start) in enumerate(zip(surfaces, starts))]
 
 
 @lru_cache(maxsize=4096)
@@ -232,66 +276,155 @@ def _fixed_analyses(kind: str, surface: str) -> frozenset[Analysis]:
     return frozenset([Analysis(lemma=surface, category="PONCT", sem_features=frozenset(feats))])
 
 
+def _analyses(index: LexIndex, surface: str, kind: str, initial: bool,
+              case_policy: str) -> frozenset[Analysis]:
+    """A token's analyses: a word keeps the full lookup result (folding
+    applies only to sentence-initial words and only under the fold
+    policy), or UNKNOWN when there is none; punctuation gets a PONCT
+    analysis and a digit run a NUM analysis.  Tokens with the same
+    analyses share one set object, in every text (the index returns one
+    set per form, and punctuation and number sets are cached), so
+    matchers can memoize per set."""
+    if kind != WORD:
+        return _fixed_analyses(kind, surface)
+    found = lookup(index, surface, case_policy) if initial else index.get(surface)
+    return found or UNKNOWN_ANALYSES
+
+
 def tag(tokens: list[Token], index: LexIndex, source: str,
         case_policy: str = CASE_FOLD) -> TaggedText:
-    """Attach all lexicon analyses to every token.
-
-    Word tokens keep the full lookup result (folding applies only to
-    sentence-initial tokens and only under the fold policy); punctuation
-    gets a PONCT analysis, digit runs a NUM analysis, uncovered words the
-    UNKNOWN pseudo-analysis.  Tokens with the same analyses share one set
-    object, in every text (the index returns one set per form, and
-    punctuation and number sets are cached), so matchers can memoize per
-    set.  The sentence boundaries are the tokens ``tokenize`` marked as
-    opening a sentence.
-    """
+    """Attach all lexicon analyses (``_analyses``) to every token.  The
+    sentence boundaries are the tokens ``tokenize`` marked as opening a
+    sentence."""
     tagged: list[TaggedToken] = []
     initials: list[int] = []
     for token in tokens:
-        if token.kind == WORD:
-            if token.sentence_initial:
-                initials.append(len(tagged))
-                analyses = lookup(index, token.surface, case_policy) or UNKNOWN_ANALYSES
-            else:
-                analyses = index.get(token.surface) or UNKNOWN_ANALYSES
-        else:
-            analyses = _fixed_analyses(token.kind, token.surface)
-        tagged.append(TaggedToken(token, analyses))
+        initial = token.sentence_initial and token.kind == WORD
+        if initial:
+            initials.append(len(tagged))
+        tagged.append(TaggedToken(token, _analyses(index, token.surface, token.kind,
+                                                   initial, case_policy)))
     boundaries = tuple(i for i, token in enumerate(tokens) if token.opens_sentence)
     return TaggedText(tagged, source, boundaries, tuple(initials))
 
 
-class Corpus(NamedTuple):
-    """What ``locate`` reads of a tagged text, plus ``initials`` and
-    ``starts``, the index of each text's first token (see ``join``)."""
+class _Keys(dict):
+    """Surface -> interned key (surface, analyses) of the tokens in one
+    position: sentence-initial words, or every other token.  Filled on
+    first use; the two maps of a corpus share ``interned``, so equal keys
+    are one tuple across the corpus."""
 
-    tokens: list[TaggedToken]
+    def __init__(self, index: LexIndex, initial: bool, case_policy: str,
+                 interned: dict[tuple, tuple]):
+        super().__init__()
+        self._index, self._initial, self._case_policy = index, initial, case_policy
+        self._interned = interned
+
+    def __missing__(self, surface: str) -> tuple:
+        key = (surface, _analyses(self._index, surface, _kind(surface), self._initial,
+                                  self._case_policy))
+        found = self[surface] = self._interned.setdefault(key, key)
+        return found
+
+
+class Corpus(NamedTuple):
+    """Several texts as one matcher input, in columns.
+
+    ``keys`` holds each token's interned (surface, analyses) and
+    ``char_starts`` its character offset in its own text.  Token indices run over the whole corpus, and
+    ``starts`` holds the index of each text's first token.
+    ``boundaries`` holds the tokens that open a sentence after the
+    corpus's first, every nonempty text's first token among them, so no
+    match crosses a text and counts over the corpus equal the per-text
+    counts summed.  ``initials`` holds the sentence-initial words.  Byte
+    offsets come from ``byte_span``, which caches each text's table
+    (``_byte_table``, empty for an ASCII text) in ``byte_tables`` on
+    first use.
+    """
+
     keys: list[tuple]
     boundaries: tuple[int, ...]
     initials: tuple[int, ...]
     starts: tuple[int, ...]
+    texts: tuple[str, ...]
+    char_starts: list[int]
+    byte_tables: dict[int, tuple[list[int], list[int]]]
+
+    def byte_span(self, start: int, end: int) -> tuple[int, int]:
+        """Byte offsets, in their own text, of the tokens [start, end) of
+        one text."""
+        doc = bisect_right(self.starts, start) - 1
+        tables = self.byte_tables
+        if doc not in tables:
+            tables[doc] = _byte_table(self.texts[doc])
+        at, extra = tables[doc]
+        first = self.char_starts[start]
+        last = self.char_starts[end - 1] + len(self.keys[end - 1][0])
+        return first + extra[bisect_left(at, first)], last + extra[bisect_left(at, last)]
+
+    @property
+    def tokens(self) -> Sequence[TaggedToken]:
+        """The tokens as ``TaggedToken``s with their own text's offsets and
+        sentence marks, each built when read."""
+        return _TokenView(self)
 
 
-def join(tagged_texts: Iterable[TaggedText]) -> Corpus:
-    """The texts as one matcher input.  Token indices run over the whole
-    corpus, byte offsets stay each text's own.  Every text start is a
-    sentence boundary, so no match crosses a text and counts over the
-    corpus equal the per-text counts summed.  The keys are interned over
-    the whole corpus; no text's own ``keys`` is built."""
-    tokens: list[TaggedToken] = []
+def _holds(ordered: tuple[int, ...], value: int) -> bool:
+    at = bisect_left(ordered, value)
+    return at < len(ordered) and ordered[at] == value
+
+
+class _TokenView(Sequence):
+    """A corpus's tokens, read-only; ``len`` is the token count."""
+
+    __slots__ = ("_corpus",)
+
+    def __init__(self, corpus: Corpus):
+        self._corpus = corpus
+
+    def __len__(self) -> int:
+        return len(self._corpus.keys)
+
+    def __getitem__(self, i):
+        corpus = self._corpus
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(corpus.keys))[i]]
+        i = range(len(corpus.keys))[i]
+        surface, analyses = corpus.keys[i]
+        opens = _holds(corpus.boundaries, i) and not _holds(corpus.starts, i)
+        token = Token(surface, *corpus.byte_span(i, i + 1), _kind(surface),
+                      _holds(corpus.initials, i), opens)
+        return TaggedToken(token, analyses)
+
+
+def build_corpus(texts: Iterable[str], index: LexIndex,
+                 case_policy: str = CASE_FOLD) -> Corpus:
+    """The texts tokenized and tagged as ``tag(tokenize(text), ...)``
+    would, straight into one ``Corpus``."""
+    texts = tuple(texts)
+    interned: dict[tuple, tuple] = {}
+    inner = _Keys(index, False, case_policy, interned)
+    first = _Keys(index, True, case_policy, interned)
+    keys: list[tuple] = []
+    char_starts: list[int] = []
     boundaries: list[int] = []
     initials: list[int] = []
     starts: list[int] = []
-    for tagged in tagged_texts:
-        at = len(tokens)
+    for text in texts:
+        surfaces, offsets, openings = _columns(text)
+        at = len(keys)
         starts.append(at)
-        if at and tagged.tokens:
+        if at and surfaces:
             boundaries.append(at)
-        boundaries.extend(at + i for i in tagged.boundaries)
-        initials.extend(at + i for i in tagged.initials)
-        tokens += tagged.tokens
-    return Corpus(tokens, _interned_keys(tokens), tuple(boundaries), tuple(initials),
-                  tuple(starts))
+        boundaries.extend(at + i for i in openings)
+        keys += map(inner.__getitem__, surfaces)
+        char_starts += offsets
+        # the sentence-initial words take the other map's keys
+        for i in _initials(surfaces, openings):
+            keys[at + i] = first[surfaces[i]]
+            initials.append(at + i)
+    return Corpus(keys, tuple(boundaries), tuple(initials), tuple(starts), texts,
+                  char_starts, {})
 
 
 class RestrictedKeys(dict):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import glob
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,6 +44,26 @@ def reference_entries(cfg):
         for path in cfg.lemmas:
             entries.extend(expand_lexicon(load_lemma_entries(path), paradigms))
     return entries
+
+
+def reference_join(tagged_texts):
+    """The tagged texts as one corpus, as tokens: the reference for
+    ``textproc.build_corpus``.  Token indices run over the whole corpus,
+    byte offsets stay each text's own, every nonempty text after the
+    first opens a sentence, and equal keys are one tuple."""
+    tokens, boundaries, initials, starts = [], [], [], []
+    for tagged in tagged_texts:
+        at = len(tokens)
+        starts.append(at)
+        if at and tagged.tokens:
+            boundaries.append(at)
+        boundaries.extend(at + i for i in tagged.boundaries)
+        initials.extend(at + i for i in tagged.initials)
+        tokens += tagged.tokens
+    interned = {}
+    keys = [interned.setdefault(key := (tt.token.surface, tt.analyses), key) for tt in tokens]
+    return SimpleNamespace(tokens=tokens, keys=keys, boundaries=tuple(boundaries),
+                           initials=tuple(initials), starts=tuple(starts))
 
 
 def per_document_counts(pn_flat, svc_flat, tagged_texts, policy="longest"):

@@ -11,7 +11,7 @@ from lexgram.classify import (
 )
 from lexgram.lexicon import SUBCATEGORIES
 from lexgram.rtn import Match, flatten, locate
-from lexgram.textproc import join, tag, tokenize
+from lexgram.textproc import build_corpus, tag, tokenize
 
 from conftest import per_document_counts
 
@@ -57,14 +57,15 @@ def test_partition_invariant_enforced():
         ClassifiedCounts(3, 0, 1, 1)
 
 
-def test_fixture_corpus_hand_counts(tagged_docs, grammars):
+def test_fixture_corpus_hand_counts(fixture_run, tagged_docs, grammars):
     """Hand-marked spans over the bundled 20-sentence corpus, counted per
-    document and summed, and counted over the joined corpus."""
+    document and summed, and counted over the corpus of all documents."""
     pn_flat = flatten(grammars.pn)
     svc_flat = flatten(grammars.svc)
     texts = [tagged for _, tagged in tagged_docs]
     counts = per_document_counts(pn_flat, svc_flat, texts)
-    corpus = join(texts)
+    corpus = build_corpus((text for _, text in fixture_run.docs), fixture_run.index,
+                          fixture_run.cfg.case_policy)
     assert classify_pn(locate(pn_flat, corpus), locate(svc_flat, corpus)) == counts
     assert counts.pn_total == 12
     assert counts.svc_total == 4
@@ -142,7 +143,8 @@ def _subcat_rows(fixture_run, texts):
     flats = fixture_run.flats
     tagged = [tag(tokenize(t), fixture_run.index, t) for t in texts]
     overall = per_document_counts(flats.pn, flats.svc, tagged)
-    return by_subcategory(join(tagged), overall, fixture_run.index, flats.pn, flats.svc,
+    return by_subcategory(build_corpus(texts, fixture_run.index), overall, fixture_run.index,
+                          flats.pn, flats.svc,
                           pn_by_subcat=flats.pn_by_subcat, svc_by_subcat=flats.svc_by_subcat)
 
 

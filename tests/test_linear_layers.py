@@ -8,16 +8,19 @@ that the new code gives exactly what the old code gave.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexgram.classify import classify_pn
 from lexgram.concord import ConcordanceLine, build_concordance
 from lexgram.errors import EmptyGold
 from lexgram.evaluation import CRITERIA, EXACT, GoldSpan, align, in_lexicon_recall, recall
-from lexgram.lexicon import CASE_FOLD, PN_FEATURE, build_index, lookup, parse_entry
+from lexgram.lexicon import (CASE_FOLD, CASE_POLICIES, PN_FEATURE, build_index, lookup,
+                             parse_entry)
 from lexgram.rtn import (EPSILON, Call, Grammar, Graph, Literal, Match,
                          check_recursion, flatten)
-from lexgram.textproc import NUMBER, PUNCT, WORD, Token, _boundary_after, tag, tokenize
+from lexgram.textproc import NUMBER, PUNCT, WORD, Token, build_corpus, tag, tokenize
+
+from conftest import reference_join
 
 CASES = 500
 
@@ -255,6 +258,15 @@ def scan_by_character(text):
     return raws
 
 
+def _boundary_after(text, k):
+    """Whether sentence-final punctuation ending at char ``k`` closes its
+    sentence: at least one space, tab, CR or LF, then an uppercase letter."""
+    j = k
+    while j < len(text) and text[j] in (" ", "\t", "\r", "\n"):
+        j += 1
+    return k < j < len(text) and text[j].isalpha() and text[j].isupper()
+
+
 def tokenize_by_character(text):
     """Tokens from the character scan, encoding every gap and surface."""
     tokens = []
@@ -307,6 +319,42 @@ def test_tokenize_equals_character_scan(pieces):
 ])
 def test_tokenize_fixed_cases(text):
     _assert_tokens_match(text)
+
+
+# -- the corpus builder ---------------------------------------------------------------
+
+_PIECE_INDEX = build_index([parse_entry(l) for l in (
+    "le,le.DET:ms", "l',le.DET:s", "entre,entre.PREP", "entre,entrer.V:P3s",
+    "ça,ça.PRO", "é,é.N:ms", "Le,Le.N:ms")])
+
+
+def _assert_corpus_equals_reference(texts):
+    """``build_corpus`` against the tokens of the character scan, tagged one
+    text at a time and joined: keys, marks, text starts and every token's
+    byte span."""
+    for policy in CASE_POLICIES:
+        corpus = build_corpus(texts, _PIECE_INDEX, policy)
+        want = reference_join(tag(tokenize_by_character(t), _PIECE_INDEX, t, policy)
+                              for t in texts)
+        assert corpus.keys == want.keys
+        assert len({id(key) for key in corpus.keys}) == len(set(corpus.keys))
+        assert corpus.boundaries == want.boundaries
+        assert corpus.initials == want.initials
+        assert corpus.starts == want.starts
+        assert [corpus.byte_span(i, i + 1) for i in range(len(corpus.keys))] == \
+            [(tt.token.start, tt.token.end) for tt in want.tokens]
+
+
+@settings(max_examples=CASES, deadline=None)
+@given(texts=st.lists(st.lists(st.sampled_from(_TOKEN_PIECES + ["\r\n"]),
+                               max_size=30).map("".join),
+                      min_size=1, max_size=4))
+@example(texts=["« 12 » . Le chat"])                    # a first sentence with no word
+@example(texts=["le chat, l'entre 12 qu'il ! a"])       # no boundary
+@example(texts=["Le chat. Le vol", "Été. \U0001d400 l’é. Ça"])  # ASCII beside non-ASCII
+@example(texts=["", "Le.\r\nLe", ""])
+def test_build_corpus_equals_joined_tagged_texts(texts):
+    _assert_corpus_equals_reference(texts)
 
 
 # -- sentence boundaries --------------------------------------------------------------

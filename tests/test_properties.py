@@ -14,7 +14,8 @@ from lexgram.lexicon import (CASE_EXACT, CASE_POLICIES, SUBCATEGORIES, LexEntry,
                              filter_subcategory, lookup, parse_entry)
 from lexgram.rtn import (EPSILON, POLICIES, Grammar, Graph, Literal, Mask, Match, locate,
                          locate_recursive, span_accepts)
-from lexgram.textproc import UNKNOWN_ANALYSES, WORD, RestrictedKeys, join, tag, tokenize
+from lexgram.textproc import (UNKNOWN_ANALYSES, WORD, RestrictedKeys, build_corpus, tag,
+                              tokenize)
 
 from conftest import fixture_path, per_document_counts
 
@@ -254,13 +255,22 @@ _MATCH_PIECES = ["une", "la", "le", "de", "sans", "(", "grande", "attention", "v
                  "pêche", "débat", "avis", "suite", "fait", "donne"]
 
 
+# letters of 2, 3 and 4 bytes in UTF-8, lower and upper case, so that byte
+# offsets part from character offsets by different amounts
+_WIDE_LETTERS = ["é", "Ω", "ẞ", "ḁ", "字", "\U0001d400", "\U00010428", "é\U0001d400字"]
+
+
 @st.composite
 def corpora(draw):
     """Documents of 0-12 pieces drawn from fixture words, their capitalized
-    variants and punctuation; a document need not end in punctuation."""
-    piece = st.sampled_from(_MATCH_PIECES) | st.sampled_from(
-        _CORPUS_WORDS + [w.capitalize() for w in _CORPUS_WORDS] + [".", ".", ",", "(", ")"])
-    return [" ".join(draw(st.lists(piece, max_size=12)))
+    variants, punctuation and wide letters; a document need not end in
+    punctuation.  Some documents are ASCII only."""
+    words = _CORPUS_WORDS + [w.capitalize() for w in _CORPUS_WORDS]
+    punctuation = [".", ".", ",", "(", ")"]
+    wide = st.sampled_from(_MATCH_PIECES) | st.sampled_from(words + punctuation + _WIDE_LETTERS)
+    ascii_only = (st.sampled_from([p for p in _MATCH_PIECES if p.isascii()])
+                  | st.sampled_from([w for w in words if w.isascii()] + punctuation))
+    return [" ".join(draw(st.lists(draw(st.sampled_from([wide, ascii_only])), max_size=12)))
             for _ in range(draw(st.integers(1, 6)))]
 
 
@@ -276,7 +286,7 @@ def test_subcategory_rows_equal_per_document_reference(fixture_run, entries, ext
     full = build_index(lexicon)
     tagged = [tag(tokenize(t), full, t, policy) for t in texts]
     overall = per_document_counts(flats.pn, flats.svc, tagged)
-    rows = by_subcategory(join(tagged), overall, full, flats.pn, flats.svc,
+    rows = by_subcategory(build_corpus(texts, full, policy), overall, full, flats.pn, flats.svc,
                           pn_by_subcat=flats.pn_by_subcat, svc_by_subcat=flats.svc_by_subcat,
                           case_policy=policy)
     for row in rows[:-1]:
@@ -292,14 +302,18 @@ def test_subcategory_rows_equal_per_document_reference(fixture_run, entries, ext
 @given(texts=corpora(), case_policy=st.sampled_from(CASE_POLICIES))
 @example(texts=["", "attention", "une grande attention", "Marie fait attention . Le vol"],
          case_policy=CASE_POLICIES[0])
+@example(texts=["une grande attention", "字 ẞ . \U0001d400 une grande attention é",
+                "la pêche . Une attention"],
+         case_policy=CASE_POLICIES[1])
 def test_joined_corpus_equals_per_document(fixture_run, texts, case_policy):
-    """``locate`` over the joined documents, split per document and rebased,
-    gives each document's own matches: spans, byte offsets and bindings.
-    ``classify_pn`` over the join gives the per-document counts summed."""
+    """``locate`` over the corpus ``build_corpus`` makes of the documents,
+    split per document and rebased, gives each document's own matches:
+    spans, byte offsets and bindings.  ``classify_pn`` over the corpus
+    gives the per-document counts summed."""
     flats = fixture_run.flats
     tagged = [tag(tokenize(t), fixture_run.index, t, case_policy) for t in texts]
-    corpus = join(tagged)
-    limits = (*corpus.starts, len(corpus.tokens))
+    corpus = build_corpus(texts, fixture_run.index, case_policy)
+    limits = (*corpus.starts, len(corpus.keys))
     for policy in POLICIES:
         for flat in (flats.pn, flats.svc):
             joined = locate(flat, corpus, policy)

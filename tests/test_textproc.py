@@ -3,17 +3,20 @@ from __future__ import annotations
 import pytest
 
 from lexgram.errors import EmptyInput
-from lexgram.lexicon import build_index, parse_entry
+from lexgram.lexicon import SUBCATEGORIES, build_index, filter_subcategory, parse_entry
 from lexgram.textproc import (
     NUMBER,
     PUNCT,
     UNKNOWN,
     WORD,
+    RestrictedKeys,
     dump_tagged,
     tag,
     tagging_coverage,
     tokenize,
 )
+
+from conftest import reference_join
 
 
 def small_index():
@@ -145,6 +148,28 @@ def test_corpus_keys_are_one_object_per_distinct_key(fixture_run):
     # the joined corpus interns its keys once across documents
     keys = fixture_run.corpus.keys
     assert len({id(key) for key in keys}) == len(set(keys))
+
+
+def test_corpus_tokens_view_equals_reference_tokens(fixture_run, entries):
+    """``Corpus.tokens`` builds each item when read; on the fixture run and
+    on every subcategory view of it, the items equal the documents' own
+    tagged tokens, joined."""
+    corpus, policy = fixture_run.corpus, fixture_run.cfg.case_policy
+    texts = [text for _, text in fixture_run.docs]
+    want = reference_join(tag(tokenize(t), fixture_run.index, t, policy) for t in texts)
+    assert len(corpus.tokens) == len(corpus.keys) == len(want.tokens)
+    assert list(corpus.tokens) == want.tokens
+    assert corpus.tokens[-1] == want.tokens[-1]
+    assert corpus.tokens[3:9] == want.tokens[3:9]
+    with pytest.raises(IndexError):
+        corpus.tokens[len(corpus.keys)]
+    for subcat in SUBCATEGORIES:
+        view = corpus._replace(keys=RestrictedKeys(fixture_run.index, subcat, policy)
+                               .restrict(corpus.keys, corpus.initials))
+        scoped = build_index(filter_subcategory(entries, subcat))
+        want = reference_join(tag(tokenize(t), scoped, t, policy) for t in texts)
+        assert len(view.tokens) == len(view.keys)
+        assert list(view.tokens) == want.tokens, subcat
 
 
 def test_tag_folds_only_sentence_initial():
