@@ -6,11 +6,19 @@ sentence; verb matches never cross sentence boundaries, so containment
 implies the same sentence).  A match contained in several verb spans
 still counts once: the statistics are per occurrence.
 
-Every scope, the global row and each subcategory row (whose keys
-``textproc.RestrictedKeys`` restricts), counts over the one corpus that
-``textproc.build_corpus`` builds.  A noun listed under two subcategories is
-counted in both rows, so subcategory counts may sum above the global
-row.
+Every scope, the global row and each subcategory row, counts over the
+one corpus that ``textproc.build_corpus`` builds.  The global row counts
+the run's matches, one ``rtn.locate`` per grammar.  ``by_subcategory``
+gives each token one scope key, worked out once per distinct key and
+sentence-initial mark (``textproc.ScopeKeys``): its analyses in each
+subcategory (``textproc.RestrictedKeys``).  A grammar family, each
+subcategory's own graph or the main one again, is compiled into one
+union DFA and walked once over those keys (``rtn.locate_scopes``), so
+the rows take one walk for the noun grammar and one for the verb grammar
+whatever the number of subcategories.  Each subcategory gives only token
+spans, which ``classify_pn`` counts.  A noun listed under two
+subcategories is counted in both rows, so subcategory counts may sum
+above the global row.
 """
 from __future__ import annotations
 
@@ -21,8 +29,8 @@ from itertools import accumulate
 from . import evaluation
 from .errors import LexgramError
 from .lexicon import CASE_FOLD, SUBCATEGORIES, LexIndex
-from .rtn import Graph, Match, locate
-from .textproc import Corpus, RestrictedKeys
+from .rtn import Graph, Match, Span, locate_scopes
+from .textproc import Corpus, ScopeKeys
 
 ALL_SCOPE = "all"
 
@@ -47,7 +55,8 @@ class ClassifiedCounts:
         return self.pn_with_sv / self.pn_total
 
 
-def classify_pn(pn_matches: list[Match], svc_matches: list[Match]) -> ClassifiedCounts:
+def classify_pn(pn_matches: list[Match] | list[Span],
+                svc_matches: list[Match] | list[Span]) -> ClassifiedCounts:
     """Split noun matches over one text or corpus by support-verb presence.
 
     Verb spans are sorted by start token with a running maximum of their
@@ -102,9 +111,10 @@ def by_subcategory(corpus: Corpus, overall: ClassifiedCounts,
     """One row per subcategory, then the ``all`` row of the global ``overall``.
 
     ``corpus`` is tagged against the full ``index``.  The grammars are
-    flattened; per-subcategory ones replace the main ones.  ``correction``
-    supplies ((p_pn, r_pn), (p_svc, r_svc)); without it the corrected
-    column stays unset.
+    flattened; per-subcategory ones replace the main ones.  Each family,
+    one graph per subcategory, is walked once over the scope keys
+    (``rtn.locate_scopes``).  ``correction`` supplies ((p_pn, r_pn),
+    (p_svc, r_svc)); without it the corrected column stays unset.
     """
     pn_by_subcat = pn_by_subcat or {}
     svc_by_subcat = svc_by_subcat or {}
@@ -116,18 +126,20 @@ def by_subcategory(corpus: Corpus, overall: ClassifiedCounts,
         return evaluation.corrected_proportion(pn, p_pn, r_pn, svc, p_svc, r_svc)
 
     rows: list[SubcatRow] = []
-    for subcat in subcats:
-        pn_g = pn_by_subcat.get(subcat, pn_flat)
-        svc_g = svc_by_subcat.get(subcat, svc_flat)
-        view = corpus._replace(keys=RestrictedKeys(index, subcat, case_policy)
+    if subcats:
+        view = corpus._replace(keys=ScopeKeys(index, subcats, case_policy)
                                .restrict(corpus.keys, corpus.initials))
-        counts = classify_pn(locate(pn_g, view, policy), locate(svc_g, view, policy))
-        rows.append(SubcatRow(subcat, counts.pn_total,
-                              _ratio(counts.pn_total, overall.pn_total),
-                              counts.pn_with_sv,
-                              _ratio(counts.pn_with_sv, overall.pn_with_sv),
-                              counts.proportion, counts.svc_total,
-                              corrected(counts.pn_total, counts.pn_with_sv)))
+        pn_spans, svc_spans = (
+            locate_scopes([by_subcat.get(subcat, flat) for subcat in subcats], view, policy)
+            for flat, by_subcat in ((pn_flat, pn_by_subcat), (svc_flat, svc_by_subcat)))
+        for subcat, pn, svc in zip(subcats, pn_spans, svc_spans, strict=True):
+            counts = classify_pn(pn, svc)
+            rows.append(SubcatRow(subcat, counts.pn_total,
+                                  _ratio(counts.pn_total, overall.pn_total),
+                                  counts.pn_with_sv,
+                                  _ratio(counts.pn_with_sv, overall.pn_with_sv),
+                                  counts.proportion, counts.svc_total,
+                                  corrected(counts.pn_total, counts.pn_with_sv)))
     rows.append(SubcatRow(ALL_SCOPE, overall.pn_total, 1.0 if overall.pn_total else 0.0,
                           overall.pn_with_sv, 1.0 if overall.pn_with_sv else 0.0,
                           overall.proportion, overall.svc_total,

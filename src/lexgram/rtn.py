@@ -30,18 +30,24 @@ code and unified with whatever the group already recorded on this path;
 analyses lacking an attribute unify with anything.
 
 ``flatten`` inlines every call, turning the grammar into one plain
-finite-state graph.  ``locate`` compiles a flattened graph once and
-caches the result on it (``_Compiled``); what a label makes of a token
-(``readings``) is memoized per label and analysis set, or per surface
-for literals.
+finite-state graph.  ``locate_scopes`` matches several flattened graphs,
+one per scope, in one walk: it compiles them into one union NFA whose
+states carry their scope (``_Compiled``), as a multi-pattern matcher
+compiles several regexes into one automaton.  A token key holds the
+surface, then the token's analyses in each scope (``textproc.ScopeKeys``),
+and a mask of scope ``i`` reads the analyses of scope ``i``.  ``locate``
+and ``span_accepts`` are the one-scope case, whose compile is cached on
+the graph.  What a label makes of a token (``readings``) is memoized per
+label and analysis set, or per surface for literals, across all scopes.
 
 Matching runs a lazily built DFA, as RE2 does: a DFA state (``_State``)
 is one interned set of (NFA state, bindings) configurations with a row
-of successors per token key, filled on first use.  Every start token is
-tried from the start state (one per seed binding), so a token no
-initial label accepts costs one lookup in its row.  The cache holds at
-most ``DFA_CACHE_LIMIT`` states and row entries per compiled graph; past
-it, every state, row and start state is dropped and rebuilt on demand.
+of successors per token key, filled on first use, and one representative
+binding per scope it accepts.  Every start token is tried from the start
+state (one per seed binding), so a token no initial label of any scope
+accepts costs one lookup in its row.  The cache holds at most
+``DFA_CACHE_LIMIT`` states and row entries per compiled union; past it,
+every state, row and start state is dropped and rebuilt on demand.
 ``locate_recursive``, a pushdown simulation over the unflattened
 grammar, stays the reference implementation (the oracle); both must
 agree on every match span and binding.
@@ -49,7 +55,9 @@ agree on every match span and binding.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CycleError, MalformedGraph, UnresolvedCall
 from .source import content_lines, natural, read_text
@@ -565,7 +573,7 @@ class _Readings(dict):
         return found
 
 
-# Most DFA states plus successor entries one compiled graph caches.  Token
+# Most DFA states plus successor entries one compiled union caches.  Token
 # keys form an open alphabet, so the rows are counted with the states; past
 # the limit the whole cache is flushed and refilled on demand, so neither an
 # adversarial grammar nor a large vocabulary grows it without bound.
@@ -575,14 +583,14 @@ DFA_CACHE_LIMIT = 10_000
 class _State:
     """One DFA state: a set of (NFA state, bindings) configurations.
 
-    ``final`` is the representative binding of its accepting
-    configurations (None when there is none); ``next`` maps a token key
-    (surface, analyses) to the successor state or ``_DEAD``.
+    ``final`` holds (scope, representative binding) for each scope with an
+    accepting configuration, in scope order (None when there is none);
+    ``next`` maps a token key to the successor state or ``_DEAD``.
     """
 
     __slots__ = ("configs", "final", "next")
 
-    def __init__(self, configs: tuple, final: Bindings | None):
+    def __init__(self, configs: tuple, final: tuple | None):
         self.configs = configs
         self.final = final
         self.next: dict = {}
@@ -593,17 +601,21 @@ _DEAD = _State((), None)  # the empty configuration set: no match goes on
 
 @dataclass
 class _Compiled:
-    """A flattened graph prepared for simulation, and its DFA cache.
+    """The union of flattened graphs, one per scope, prepared for
+    simulation, and its DFA cache.
 
-    Closures hold only the states that matter after an epsilon walk:
-    finals and states with a consuming out-edge.  ``edges[s]`` lists the
-    consuming transitions of ``s`` as (memo, literal?, label, closure of
-    the target).  ``states`` interns DFA states by configuration set and
-    ``starts`` holds the start state per seed binding; both are built
-    lazily and flushed together once ``size`` reaches ``DFA_CACHE_LIMIT``.
+    Each graph's states are numbered after the previous graph's, so an NFA
+    state belongs to one scope; ``finals`` maps each accepting state to
+    its scope.  Closures hold only the states that matter after an epsilon
+    walk: finals and states with a consuming out-edge.  ``edges[s]`` lists
+    the consuming transitions of ``s`` as (memo, the index of the token
+    key item the label reads, label, closure of the target).  ``states``
+    interns DFA states by configuration set and ``starts`` holds the start
+    state per seed binding; both are built lazily and flushed together
+    once ``size`` reaches ``DFA_CACHE_LIMIT``.
     """
 
-    finals: frozenset[int]
+    finals: dict[int, int]
     start: tuple[int, ...]
     edges: list[tuple]
     states: dict = field(default_factory=dict)
@@ -614,9 +626,13 @@ class _Compiled:
         key = frozenset(configs)
         state = self.states.get(key)
         if state is None:
-            ends = [bindings for nfa, bindings in configs if nfa in self.finals]
-            state = self.states[key] = _State(
-                tuple(configs), _representative(ends) if ends else None)
+            ends: dict[int, list[Bindings]] = {}
+            for nfa, bindings in configs:
+                scope = self.finals.get(nfa)
+                if scope is not None:
+                    ends.setdefault(scope, []).append(bindings)
+            final = tuple((scope, _representative(ends[scope])) for scope in sorted(ends))
+            state = self.states[key] = _State(tuple(configs), final or None)
             self.size += 1
         return state
 
@@ -634,11 +650,10 @@ class _Compiled:
             self.states.clear()
             self.starts.clear()
             self.size = 0
-        surface, analyses = key
         step: dict[tuple[int, Bindings], None] = {}
         for nfa, bindings in state.configs:
-            for memo, literal, label, targets in self.edges[nfa]:
-                found = memo[surface if literal else analyses]
+            for memo, at, label, targets in self.edges[nfa]:
+                found = memo[key[at]]
                 if found is None:
                     continue
                 for after in _outcomes(label, found, bindings) if found else (bindings,):
@@ -649,7 +664,10 @@ class _Compiled:
         return nxt
 
 
-def _compile(graph: Graph) -> _Compiled:
+def _closures(graph: Graph, base: int):
+    """The epsilon closure of each state of ``graph``, memoized, keeping
+    only finals and states with a consuming out-edge, numbered from
+    ``base``."""
     adj = graph.adjacency()
     for _, label, _ in graph.transitions:
         if isinstance(label, Call):
@@ -666,7 +684,7 @@ def _compile(graph: Graph) -> _Compiled:
             while frontier:
                 here = frontier.pop()
                 if important[here]:
-                    out.append(here)
+                    out.append(base + here)
                 for label, to in adj[here]:
                     if label is EPSILON and to not in seen:
                         seen.add(to)
@@ -674,29 +692,51 @@ def _compile(graph: Graph) -> _Compiled:
             closures[state] = tuple(out)
         return closures[state]
 
+    return closure
+
+
+def _compile(graphs: tuple[Graph, ...]) -> _Compiled:
+    """The union NFA of ``graphs``: graph ``i`` is scope ``i``.  A literal
+    reads item 0 of a token key, the surface; a mask of scope ``i`` reads
+    item ``i + 1``, the token's analyses in that scope."""
     memos: dict[Label, _Readings] = {}
+    finals: dict[int, int] = {}
+    start: list[int] = []
     edges: list[tuple] = []
-    for state in range(graph.n_states):
-        row = []
-        for label, to in adj[state]:
-            if label is not EPSILON:
-                if label not in memos:
-                    memos[label] = _Readings(label)
-                row.append((memos[label], isinstance(label, Literal), label, closure(to)))
-        edges.append(tuple(row))
-    return _Compiled(graph.finals, closure(graph.initial), edges)
+    for scope, graph in enumerate(graphs):
+        base = len(edges)
+        closure = _closures(graph, base)
+        adj = graph.adjacency()
+        for state in range(graph.n_states):
+            row = []
+            for label, to in adj[state]:
+                if label is not EPSILON:
+                    if label not in memos:
+                        memos[label] = _Readings(label)
+                    at = 0 if isinstance(label, Literal) else scope + 1
+                    row.append((memos[label], at, label, closure(to)))
+            edges.append(tuple(row))
+        finals.update((base + state, scope) for state in graph.finals)
+        start.extend(closure(graph.initial))
+    return _Compiled(finals, tuple(start), edges)
 
 
-def _compiled(graph: Graph) -> _Compiled:
+def _compiled(graphs: tuple[Graph, ...]) -> _Compiled:
+    """The compiled union of ``graphs``; a single graph keeps its compile,
+    DFA cache included, on itself for the next call."""
+    if len(graphs) != 1:
+        return _compile(graphs)
+    graph = graphs[0]
     if graph._matcher is None:
-        graph._matcher = _compile(graph)
+        graph._matcher = _compile(graphs)
     return graph._matcher
 
 
-def _accepting(m: _Compiled, keys: list[tuple], sentences, seed: Bindings):
+def _walk(m: _Compiled, keys: list[tuple], sentences, seed: Bindings):
     """Yield (start, accepts) for every start token from which a span is
-    accepted; ``accepts`` maps each accepting end (exclusive) to its
-    representative binding.
+    accepted in some scope; ``accepts`` lists (end, final) in increasing
+    end order, ``final`` being the accepting DFA state's (scope,
+    representative binding) pairs and ``end`` exclusive.
 
     ``sentences`` holds (starts, limit) pairs: the start indices to try
     and the index no span may reach past.  A cached transition stays
@@ -713,12 +753,12 @@ def _accepting(m: _Compiled, keys: list[tuple], sentences, seed: Bindings):
                 state = m.successor(root, keys[start])
             if state is _DEAD:
                 continue
-            accepts: dict[int, Bindings] = {}
+            accepts = []
             end = start
             while state is not _DEAD:
                 end += 1
                 if state.final is not None:
-                    accepts[end] = state.final
+                    accepts.append((end, state.final))
                 if end == limit:
                     break
                 key = keys[end]
@@ -737,9 +777,49 @@ def _select(accepts: dict[int, Bindings], policy: str) -> list[int]:
     return sorted(accepts)
 
 
-def _make_match(tagged: TaggedText | Corpus, start: int, end: int, name: str,
-                bindings: Bindings) -> Match:
-    return Match(start, end, *tagged.byte_span(start, end), name, dict(bindings))
+class Span(NamedTuple):
+    """A token span one scope accepts, and its representative binding."""
+
+    start_token: int
+    end_token: int
+    bindings: Bindings
+
+
+def locate_scopes(flats: Sequence[Graph], tagged: TaggedText | Corpus,
+                  policy: str = POLICY_LONGEST) -> list[list[Span]]:
+    """The spans of every scope in one walk over a tagged text or corpus.
+
+    Graph ``i`` of ``flats`` is scope ``i``: a mask of it reads item ``i +
+    1`` of each token key in ``tagged.keys``, and a literal reads item 0,
+    the surface.  The graphs are compiled into one union NFA and
+    determinized lazily, so each token is read once per start for all
+    scopes.  Per scope, spans follow ``locate``'s policy and order.
+    """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    m = _compiled(tuple(flats))
+    keys = tagged.keys
+    limits = (*tagged.boundaries, len(keys))
+    sentences = zip(map(range, (0, *limits), limits), limits)
+    found: list[list[Span]] = [[] for _ in flats]
+    every, longest = policy == POLICY_ALL, policy == POLICY_LONGEST
+    for start, accepts in _walk(m, keys, sentences, EMPTY_BINDINGS):
+        chosen: dict[int, tuple[int, Bindings]] = {}
+        for end, final in accepts:
+            for scope, bindings in final:
+                if every:
+                    found[scope].append(Span(start, end, bindings))
+                elif longest or scope not in chosen:
+                    chosen[scope] = (end, bindings)
+        for scope, (end, bindings) in chosen.items():
+            found[scope].append(Span(start, end, bindings))
+    return found
+
+
+def matches(spans: list[Span], tagged: TaggedText | Corpus, name: str) -> list[Match]:
+    """The spans of one scope as ``Match``es of the graph ``name``."""
+    return [Match(start, end, *tagged.byte_span(start, end), name, dict(bindings))
+            for start, end, bindings in spans]
 
 
 def locate(flat: Graph, tagged: TaggedText | Corpus, policy: str = POLICY_LONGEST) -> list[Match]:
@@ -748,19 +828,10 @@ def locate(flat: Graph, tagged: TaggedText | Corpus, policy: str = POLICY_LONGES
     Simulation runs from every start token, never crosses a sentence
     boundary, and reports spans per policy: the maximal end per start
     (longest), the minimal one (shortest), or every accepting span (all).
-    Output is sorted by (start, end).
+    Output is sorted by (start, end).  This is the one-scope case of
+    ``locate_scopes``.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    m = _compiled(flat)
-    keys = tagged.keys
-    limits = (*tagged.boundaries, len(keys))
-    sentences = zip(map(range, (0, *limits), limits), limits)
-    matches: list[Match] = []
-    for start, accepts in _accepting(m, keys, sentences, EMPTY_BINDINGS):
-        for end in _select(accepts, policy):
-            matches.append(_make_match(tagged, start, end, flat.name, accepts[end]))
-    return matches
+    return matches(locate_scopes((flat,), tagged, policy)[0], tagged, flat.name)
 
 
 def span_accepts(flat: Graph, tagged: TaggedText, start: int, end: int,
@@ -772,8 +843,8 @@ def span_accepts(flat: Graph, tagged: TaggedText, start: int, end: int,
         seed = tuple(sorted(dict(bindings).items()))
     if not 0 <= start < end <= tagged.sentence_end(start):
         return False
-    found = _accepting(_compiled(flat), tagged.keys, [(range(start, start + 1), end)], seed)
-    return any(end in accepts for _, accepts in found)
+    found = _walk(_compiled((flat,)), tagged.keys, [(range(start, start + 1), end)], seed)
+    return any(at == end for _, accepts in found for at, _ in accepts)
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +900,7 @@ def locate_recursive(grammar: Grammar, tagged: TaggedText,
     err = check_recursion(grammar)
     if err is not None:
         raise err
-    matches: list[Match] = []
+    spans: list[Span] = []
     for start in range(len(tagged.tokens)):
         limit = tagged.sentence_end(start)
         raw = _descend(grammar, start, limit, tagged)
@@ -838,7 +909,5 @@ def locate_recursive(grammar: Grammar, tagged: TaggedText,
             if end > start:
                 reached.setdefault(end, []).append(bindings)
         accepts = {end: _representative(found) for end, found in reached.items()}
-        for end in _select(accepts, policy):
-            matches.append(_make_match(tagged, start, end, grammar.main,
-                                       accepts[end]))
-    return matches
+        spans.extend(Span(start, end, accepts[end]) for end in _select(accepts, policy))
+    return matches(spans, tagged, grammar.main)

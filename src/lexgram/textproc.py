@@ -467,16 +467,64 @@ class RestrictedKeys(dict):
         self[key] = found
         return found
 
+    def initial(self, key: tuple) -> tuple:
+        """The restricted key of a sentence-initial word whose key is ``key``."""
+        found = self[key]
+        if found[1] is UNKNOWN_ANALYSES:
+            surface = key[0]
+            kept = self._kept(lookup(self._index, surface, self._case_policy, self._subcat))
+            found = self._interned(surface, kept)
+        return found
+
     def restrict(self, keys: list[tuple], initials: Iterable[int]) -> list[tuple]:
         """The restricted ``keys`` of a text whose sentence-initial words
         are at the indices ``initials``."""
         restricted = list(map(self.__getitem__, keys))
         for i in initials:
-            if restricted[i][1] is UNKNOWN_ANALYSES:
-                surface = keys[i][0]
-                found = lookup(self._index, surface, self._case_policy, self._subcat)
-                restricted[i] = self._interned(surface, self._kept(found))
+            restricted[i] = self.initial(keys[i])
         return restricted
+
+
+class ScopeKeys(dict):
+    """Token keys as tagged against ``index`` -> scope keys: the surface,
+    then the same token's analyses in each of ``subcats``
+    (``RestrictedKeys``).  ``rtn.locate_scopes`` reads a column of them
+    with ``subcats[i]`` as scope ``i``.
+
+    A token's scope key depends only on its key and on whether it is a
+    sentence-initial word, so it is worked out once per distinct pair:
+    this map holds the keys of every other token, ``restrict`` keeps a
+    second one for the sentence-initial words.  Equal scope keys are one
+    tuple, so the matcher's caches hit by identity.
+    """
+
+    def __init__(self, index: LexIndex, subcats: Sequence[str], case_policy: str):
+        super().__init__()
+        self._scopes = [RestrictedKeys(index, subcat, case_policy) for subcat in subcats]
+        self._initials: dict[tuple, tuple] = {}
+        self._interned: dict[tuple, tuple] = {}
+
+    def _scope_key(self, key: tuple, restricted: Iterable[tuple]) -> tuple:
+        found = (key[0], *(r[1] for r in restricted))
+        return self._interned.setdefault(found, found)
+
+    def __missing__(self, key: tuple) -> tuple:
+        found = self[key] = self._scope_key(key, [scope[key] for scope in self._scopes])
+        return found
+
+    def restrict(self, keys: list[tuple], initials: Iterable[int]) -> list[tuple]:
+        """The scope keys of a text whose sentence-initial words are at the
+        indices ``initials``."""
+        column = list(map(self.__getitem__, keys))
+        firsts = self._initials
+        for i in initials:
+            key = keys[i]
+            found = firsts.get(key)
+            if found is None:
+                found = firsts[key] = self._scope_key(
+                    key, [scope.initial(key) for scope in self._scopes])
+            column[i] = found
+        return column
 
 
 def tagging_coverage(tagged: TaggedText) -> float:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lexgram import pipeline
+from lexgram import pipeline, rtn
 from lexgram.classify import ClassifiedCounts, classify_pn
 from lexgram.inflect import expand_lexicon, load_lemma_entries, load_paradigms
 from lexgram.lexicon import load_lexicon
@@ -73,6 +73,25 @@ def per_document_counts(pn_flat, svc_flat, tagged_texts, policy="longest"):
              for tagged in tagged_texts]
     return ClassifiedCounts(*(sum(getattr(p, name) for p in parts) for name in
                               ("pn_total", "svc_total", "pn_with_sv", "pn_without_sv")))
+
+
+def count_walks(monkeypatch) -> dict[str, int]:
+    """Count the matcher's walks over a text or corpus and its successor
+    computations from now on."""
+    counts = {"walks": 0, "successors": 0}
+    walk, successor = rtn._walk, rtn._Compiled.successor
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        return walk(*args)
+
+    def counted_successor(self, state, key):
+        counts["successors"] += 1
+        return successor(self, state, key)
+
+    monkeypatch.setattr(rtn, "_walk", counted_walk)
+    monkeypatch.setattr(rtn._Compiled, "successor", counted_successor)
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -139,12 +139,12 @@ def test_format_classification_layout(subcat_inputs):
     assert any(line.startswith("NCA\t3\t25%\t1\t33%\t0.3333\t33%\t2") for line in lines)
 
 
-def _subcat_rows(fixture_run, texts):
+def _subcat_rows(fixture_run, texts, subcats=SUBCATEGORIES):
     flats = fixture_run.flats
     tagged = [tag(tokenize(t), fixture_run.index, t) for t in texts]
     overall = per_document_counts(flats.pn, flats.svc, tagged)
     return by_subcategory(build_corpus(texts, fixture_run.index), overall, fixture_run.index,
-                          flats.pn, flats.svc,
+                          flats.pn, flats.svc, subcats,
                           pn_by_subcat=flats.pn_by_subcat, svc_by_subcat=flats.svc_by_subcat)
 
 
@@ -157,17 +157,23 @@ def test_subcategory_match_never_crosses_documents(fixture_run):
     assert [r.pn for r in split] == [0, 0, 0, 0]
 
 
-def test_by_subcategory_locates_once_per_grammar_and_subcategory(fixture_run, monkeypatch):
+@pytest.mark.parametrize("subcats", [(), ("NCF",), ("CV", "NCF"), SUBCATEGORIES],
+                         ids=lambda subcats: "-".join(subcats) or "none")
+def test_by_subcategory_walks_once_per_grammar(fixture_run, monkeypatch, subcats):
+    """One walk per grammar family over every subcategory scope, none
+    without subcategories."""
     texts = [f"Marie fait attention à ce détail {i}. Le vol restait sans suite."
              for i in range(50)]
-    calls = []
-    real = classify_mod.locate
+    walks = []
+    real = classify_mod.locate_scopes
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(flats, tagged, policy):
+        walks.append(len(flats))
+        return real(flats, tagged, policy)
 
-    monkeypatch.setattr(classify_mod, "locate", counted)
-    rows = _subcat_rows(fixture_run, texts)
-    assert len(calls) == 2 * len(SUBCATEGORIES)
-    assert {r.subcat: r.pn for r in rows}["NCF"] == 50
+    monkeypatch.setattr(classify_mod, "locate_scopes", counted)
+    rows = _subcat_rows(fixture_run, texts, subcats)
+    assert walks == ([len(subcats)] * 2 if subcats else [])
+    assert [r.subcat for r in rows] == [*subcats, "all"]
+    if "NCF" in subcats:
+        assert {r.subcat: r.pn for r in rows}["NCF"] == 50

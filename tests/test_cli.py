@@ -5,12 +5,12 @@ import shutil
 
 import pytest
 
-from lexgram import classify, pipeline
+from lexgram import pipeline
 from lexgram.cli import main
 from lexgram.pipeline import parse_config, run_pipeline
 from lexgram.textproc import dump_tagged, tag, tokenize
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, count_walks, fixture_path
 
 
 def run_cli(capsys, *argv):
@@ -498,24 +498,46 @@ def test_unknown_eval_docs_is_config_error(tmp_path, capsys, cmd, to_out):
     assert not out_dir.exists()
 
 
-def test_run_locates_once_per_grammar_and_scope(tmp_path, capsys, monkeypatch):
-    cfg = copied_fixtures(tmp_path, lambda text: text.replace("corpus/*.txt", "many/*.txt"))
-    (tmp_path / "fixtures" / "many").mkdir()
+@pytest.mark.parametrize("subcats", ["", "NCF", "NCA NCF CV"],
+                         ids=lambda subcats: "-".join(subcats.split()) or "none")
+def test_run_walks_once_per_grammar_within_a_successor_budget(tmp_path, capsys, monkeypatch,
+                                                              subcats):
+    """A fixture run locates each grammar once for its matches and, with
+    subcategories, walks each grammar family once over every subcategory
+    scope, whatever the number of subcategories or documents; it fills its
+    DFAs with at most 430 successor computations (810 when each scope of
+    each grammar was located on its own)."""
+    cfg = copied_fixtures(tmp_path, set_key("subcats", subcats))
+    many = tmp_path / "fixtures" / "many"
+    many.mkdir()
     for i in range(50):
-        (tmp_path / "fixtures" / "many" / f"d{i:02}.txt").write_text(
+        (many / f"d{i:02}.txt").write_text(
             f"Marie fait attention à ce détail {i}. Le vol restait sans suite.\n",
             encoding="utf-8")
-    calls = []
+    many_cfg = cfg.with_name("many.cfg")
+    many_cfg.write_text(cfg.read_text(encoding="utf-8").replace("corpus/*.txt", "many/*.txt"),
+                        encoding="utf-8")
+    counts = count_walks(monkeypatch)
+    located = []
     real = pipeline.locate
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(*args):
+        located.append(args)
+        return real(*args)
 
     monkeypatch.setattr(pipeline, "locate", counted)
-    monkeypatch.setattr(classify, "locate", counted)
-    code, _, _ = run_cli(capsys, "run", "-c", str(cfg), "--out", str(tmp_path / "out"))
-    assert code == 0
-    assert len(calls) == 2 + 2 * len(parse_config(str(cfg)).subcats)
-    report = (tmp_path / "out" / "classification.tsv").read_text(encoding="utf-8")
-    assert "\nNCF\t50\t" in report
+    for config, budget in ((cfg, 430), (many_cfg, None)):
+        counts.update(walks=0, successors=0)
+        located.clear()
+        out = tmp_path / config.stem
+        code, _, _ = run_cli(capsys, "run", "-c", str(config), "--out", str(out))
+        assert code == 0
+        assert len(located) == 2
+        assert counts["walks"] == (4 if subcats else 2)
+        if budget is not None:
+            assert counts["successors"] <= budget
+        report = (out / "classification.tsv").read_text(encoding="utf-8")
+        rows = report.split("# subcategory")[1].splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == [*subcats.split(), "all"]
+    if "NCF" in subcats:
+        assert "\nNCF\t50\t" in report

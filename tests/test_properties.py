@@ -3,19 +3,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lexgram import rtn
 from lexgram.classify import by_subcategory, classify_pn
 from lexgram.concord import ConcordanceLine, build_concordance, sort_concordance
 from lexgram.evaluation import bias_correct
 from lexgram.lexicon import (CASE_EXACT, CASE_POLICIES, SUBCATEGORIES, LexEntry, build_index,
                              filter_subcategory, lookup, parse_entry)
 from lexgram.rtn import (EPSILON, POLICIES, Grammar, Graph, Literal, Mask, Match, locate,
-                         locate_recursive, span_accepts)
-from lexgram.textproc import (UNKNOWN_ANALYSES, WORD, RestrictedKeys, build_corpus, tag,
-                              tokenize)
+                         locate_recursive, locate_scopes, span_accepts)
+from lexgram.textproc import (UNKNOWN_ANALYSES, WORD, RestrictedKeys, ScopeKeys, build_corpus,
+                              tag, tokenize)
 
 from conftest import fixture_path, per_document_counts
 
@@ -324,6 +326,71 @@ def test_joined_corpus_equals_per_document(fixture_run, texts, case_policy):
                 assert own == locate(flat, text, policy), policy
         assert classify_pn(locate(flats.pn, corpus, policy), locate(flats.svc, corpus, policy)) \
             == per_document_counts(flats.pn, flats.svc, tagged, policy), policy
+
+
+# lemmas of fixture entries and of ``subcat_entries``
+_SCOPE_LEMMAS = ["a", "b", "pêche", "vol", "attention", "débat", "le"]
+
+
+def random_scope_graph(rng: random.Random) -> Graph:
+    """A random flat graph over the labels a subcategory scope tells apart:
+    literals, categories, subcategory features, lemmas and agreement."""
+    n = rng.randrange(2, 6)
+    labels = [
+        lambda: Literal(rng.choice(_SUBCAT_FORMS + ["Vol", "."]), fold=rng.random() < 0.3),
+        lambda: Mask(category=rng.choice(["DET", "N", "PREP", "UNKNOWN", "PONCT"])),
+        lambda: Mask(category="N", required=frozenset({rng.choice(("PN", *SUBCATEGORIES))})),
+        lambda: Mask(lemma=rng.choice(_SCOPE_LEMMAS), category=rng.choice([None, "N"])),
+        lambda: Mask(lemma=rng.choice(_SCOPE_LEMMAS), agree_group="g"),
+        lambda: Mask(category="DET", agree_group="g"),
+        lambda: Mask(category="N", agree_group="g"),
+        lambda: EPSILON,
+    ]
+    trans = []
+    for _ in range(rng.randrange(1, 2 * n)):
+        frm, to = rng.randrange(n), rng.randrange(n)
+        label = rng.choice(labels)()
+        if label is EPSILON and frm >= to:
+            continue  # keep epsilon edges forward so no epsilon cycles arise
+        trans.append((frm, label, to))
+    finals = frozenset(rng.sample(range(n), rng.randrange(1, n)))
+    return Graph(rng.choice("PQ"), n, 0, finals, tuple(trans))
+
+
+@pytest.mark.parametrize("limit", [None, 1, 2])
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), extra=subcat_entries(),
+       texts=st.lists(st.lists(st.sampled_from(_TEXT_PIECES + ["Vol", "Vol", ".", "."]),
+                               max_size=14).map(" ".join), min_size=1, max_size=3),
+       case_policy=st.sampled_from(CASE_POLICIES))
+def test_scoped_walk_equals_one_locate_per_scope(entries, limit, rng, extra, texts, case_policy):
+    """One walk over every scope gives, per scope, the spans and bindings
+    of a separate ``locate`` over the corpus with that scope's keys, under
+    every policy, with the DFA cache flushed at every step or every other
+    one too.  The scopes are 1-3 subcategories, each with its own graph
+    or the main one, so one graph may serve two scopes.  "Vol" is an NCA
+    noun and "vol" an NCF one: a sentence-initial "Vol" is unknown in CV,
+    and in NCF only the fold policy finds "vol"."""
+    lexicon = entries + extra + [LexEntry("Vol", "a", "N", ("PN", "NCA"), ("ms",))]
+    index = build_index(lexicon)
+    corpus = build_corpus(texts, index, case_policy)
+    subcats = tuple(rng.sample(SUBCATEGORIES, rng.randrange(1, 4)))
+    main = random_scope_graph(rng)
+    pool = [main, random_scope_graph(rng), random_scope_graph(rng)]
+    overrides = {sc: rng.choice(pool) for sc in subcats if rng.random() < 0.6}
+    graphs = tuple(overrides.get(sc, main) for sc in subcats)
+    views = [corpus._replace(keys=RestrictedKeys(index, sc, case_policy)
+                             .restrict(corpus.keys, corpus.initials))
+             for sc in subcats]
+    scoped = corpus._replace(keys=ScopeKeys(index, subcats, case_policy)
+                             .restrict(corpus.keys, corpus.initials))
+    with mock.patch.object(rtn, "DFA_CACHE_LIMIT", limit or rtn.DFA_CACHE_LIMIT):
+        for policy in POLICIES:
+            walked = locate_scopes(graphs, scoped, policy)
+            assert len(walked) == len(views)
+            for scope, (graph, view, spans) in enumerate(zip(graphs, views, walked)):
+                assert [((s.start_token, s.end_token), dict(s.bindings)) for s in spans] \
+                    == _matches(graph, view, policy), (scope, policy)
 
 
 def test_match_line_bijection_randomized():
