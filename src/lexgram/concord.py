@@ -1,15 +1,17 @@
 """Concordance lines: matches rendered with left/right context."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rtn import Match
 
 ORDERS = ("text", "center", "left-reversed")
 
 
-@dataclass(frozen=True)
-class ConcordanceLine:
+class ConcordanceLine(NamedTuple):
+    """A match and its contexts: a tuple of its fields, so it equals any
+    tuple of the same values."""
+
     match: Match
     left: str
     center: str
@@ -42,16 +44,24 @@ def build_concordance(matches: list[Match], source: str,
     if width < 0:
         raise ValueError("negative context width")
     blob = source.encode("utf-8")
-    reach = 4 * width
+    size, reach = len(blob), 4 * width
     lines = []
     for m in matches:
-        center = blob[m.start_byte:m.end_byte].decode("utf-8")
+        start, end = m.start_byte, m.end_byte
+        center = blob[start:end].decode("utf-8")
         left = right = ""
         if width:
-            lo = _lead(blob, max(0, m.start_byte - reach), -1)
-            hi = _lead(blob, min(len(blob), m.end_byte + reach), 1)
-            left = blob[lo:m.start_byte].decode("utf-8")[-width:]
-            right = blob[m.end_byte:hi].decode("utf-8")[:width]
+            lo, hi = start - reach, end + reach
+            if lo <= 0:
+                lo = 0
+            elif blob[lo] & 0xC0 == 0x80:
+                lo = _lead(blob, lo, -1)
+            if hi >= size:
+                hi = size
+            elif blob[hi] & 0xC0 == 0x80:
+                hi = _lead(blob, hi, 1)
+            left = blob[lo:start].decode("utf-8")[-width:]
+            right = blob[end:hi].decode("utf-8")[:width]
         lines.append(ConcordanceLine(m, left, center, right, doc_id))
     return lines
 

@@ -25,6 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal
 from math import fsum
+from typing import NamedTuple
 
 from .concord import ConcordanceLine
 from .errors import EmptyGold, EmptySystem, MalformedGold, ZeroRecall
@@ -39,8 +40,7 @@ CRITERIA = (OVERLAP, EXACT)
 ROUNDINGS = ("half-up", "half-even")
 
 
-@dataclass(frozen=True, slots=True)
-class GoldSpan:
+class _GoldFields(NamedTuple):
     doc_id: str
     start_byte: int
     end_byte: int
@@ -48,11 +48,26 @@ class GoldSpan:
     annotator: str
     head_form: str = ""
 
-    def __post_init__(self):
-        if self.start_byte >= self.end_byte:
-            raise ValueError(f"empty gold span {self.doc_id}:{self.start_byte}")
-        if self.label not in LABELS:
-            raise ValueError(f"unknown gold label {self.label!r}")
+
+class GoldSpan(_GoldFields):
+    """One gold annotation: a tuple of its fields, so it equals any tuple
+    of the same values.  Building one, also through ``_make`` and
+    ``_replace``, raises ``ValueError`` for an empty span or an unknown
+    label."""
+
+    __slots__ = ()
+
+    def __new__(cls, doc_id: str, start_byte: int, end_byte: int, label: str,
+                annotator: str, head_form: str = "") -> GoldSpan:
+        if start_byte >= end_byte:
+            raise ValueError(f"empty gold span {doc_id}:{start_byte}")
+        if label not in LABELS:
+            raise ValueError(f"unknown gold label {label!r}")
+        return tuple.__new__(cls, (doc_id, start_byte, end_byte, label, annotator, head_form))
+
+    @classmethod
+    def _make(cls, iterable) -> GoldSpan:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -91,17 +106,19 @@ def load_gold(path: str) -> list[GoldSpan]:
     return spans
 
 
-def _gold_by_doc(gold: list[GoldSpan]) -> dict[str, tuple[list[int], list[int], int]]:
-    """Per document: its gold start bytes in ascending order, the indices
-    into ``gold`` in that order, and the length of its longest span."""
-    by_doc: dict[str, list[int]] = {}
+def _gold_by_doc(gold: list[GoldSpan]
+                 ) -> dict[str, tuple[list[int], list[tuple[int, int, int]], int]]:
+    """Per document: its gold start bytes in ascending order, its spans as
+    (start byte, end byte, index into ``gold``) in that order, and the
+    length of its longest span."""
+    by_doc: dict[str, list[tuple[int, int, int]]] = {}
     for j, span in enumerate(gold):
-        by_doc.setdefault(span.doc_id, []).append(j)
+        by_doc.setdefault(span.doc_id, []).append((span.start_byte, span.end_byte, j))
     out = {}
-    for doc_id, order in by_doc.items():
-        order.sort(key=lambda j: gold[j].start_byte)
-        out[doc_id] = ([gold[j].start_byte for j in order], order,
-                       max(gold[j].end_byte - gold[j].start_byte for j in order))
+    for doc_id, spans in by_doc.items():
+        spans.sort()
+        out[doc_id] = ([start for start, _, _ in spans], spans,
+                       max(end - start for start, end, _ in spans))
     return out
 
 
@@ -127,22 +144,22 @@ def align(system: list[ConcordanceLine], gold: list[GoldSpan],
         found = docs.get(line.doc_id)
         if found is None:
             continue
-        starts, order, longest = found
+        starts, spans, longest = found
         ls, le = line.match.start_byte, line.match.end_byte
         if exact:
             lo, hi = bisect_left(starts, ls), bisect_right(starts, ls)
         else:
             lo, hi = bisect_right(starts, ls - longest), bisect_left(starts, le)
-        for j in order[lo:hi]:
-            gs, ge = gold[j].start_byte, gold[j].end_byte
+        for gs, ge, j in spans[lo:hi]:
             if (ge == le) if exact else (ls < ge):
-                key = (line.doc_id, min(ls, gs), max(ls, gs), min(le, ge), max(le, ge))
-                candidates.append((key, i, j))
+                s0, s1 = (ls, gs) if ls <= gs else (gs, ls)
+                e0, e1 = (le, ge) if le <= ge else (ge, le)
+                candidates.append((line.doc_id, s0, s1, e0, e1, i, j))
     candidates.sort()
     used_system: set[int] = set()
     used_gold: set[int] = set()
     matched = 0
-    for _, i, j in candidates:
+    for _doc, _s0, _s1, _e0, _e1, i, j in candidates:
         if i in used_system or j in used_gold:
             continue
         used_system.add(i)

@@ -250,23 +250,23 @@ def _eval_stage(cfg: RunConfig, pn_lines: list[ConcordanceLine],
     (p_svc, r_svc)) of averaged precision and recall, or None unless both
     labels were averaged with a recall above zero.
     """
-    gold = evaluation.load_gold(cfg.gold)
-    if cfg.eval_docs:
-        wanted = set(cfg.eval_docs)
-        gold = [g for g in gold if g.doc_id in wanted]
+    wanted = set(cfg.eval_docs)
+    if wanted:
         pn_lines = [l for l in pn_lines if l.doc_id in wanted]
         svc_lines = [l for l in svc_lines if l.doc_id in wanted]
-    system_by_label = {"PN": pn_lines, "SVC": svc_lines}
+    gold: dict[str, dict[str, list[evaluation.GoldSpan]]] = {"PN": {}, "SVC": {}}
+    for g in evaluation.load_gold(cfg.gold):
+        if not wanted or g.doc_id in wanted:
+            gold[g.label].setdefault(g.annotator, []).append(g)
     rows: list[MetricRow] = []
     averaged: dict[str, tuple[float, float]] = {}
-    for label in ("PN", "SVC"):
-        system = system_by_label[label]
-        annotators = sorted({g.annotator for g in gold if g.label == label})
+    for label, system in (("PN", pn_lines), ("SVC", svc_lines)):
+        by_annotator = gold[label]
+        annotators = sorted(by_annotator)
         precisions: list[float] = []
         recalls: list[float] = []
         for annotator in annotators:
-            spans = [g for g in gold if g.label == label and g.annotator == annotator]
-            metrics = evaluation.measure(system, spans, cfg.alignment)
+            metrics = evaluation.measure(system, by_annotator[annotator], cfg.alignment)
             precisions.append(metrics.p)
             recalls.append(metrics.r)
             rows.append(MetricRow("recall", label, annotator, str(metrics.gold_total),

@@ -10,6 +10,11 @@ from collections.abc import Callable, Iterator
 
 from .errors import LexgramError
 
+# Characters of text split into lines at a time by ``content_lines``:
+# enough lines to spread the cost of a split, few enough that a block of
+# short lines stays small beside the records read from them.
+BLOCK = 1 << 13
+
 
 def read_text(path: str, error: Callable[[str], LexgramError]) -> str:
     """The decoded contents of ``path``; an unreadable file or a byte
@@ -27,20 +32,30 @@ def read_text(path: str, error: Callable[[str], LexgramError]) -> str:
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """(1-based line number, line without its break) for every line that
-    is neither blank nor a ``#`` comment."""
+    is neither blank nor a ``#`` comment.
+
+    After the breaks are made LF (one normalized copy of ``text``, when it
+    holds a CR), the text is split one block at a time: ``BLOCK``
+    characters, cut at the first LF after them.  Besides the text, the
+    generator holds only one block's lines, so at most ``BLOCK``
+    characters plus the line that crosses the block's end, never a second
+    copy of the whole file's lines.  A line whose first character is
+    neither whitespace nor ``#`` is kept without being stripped.
+    """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lineno = start = 0
     while start < len(text):
-        end = text.find("\n", start)
+        end = text.find("\n", start + BLOCK)
         if end < 0:
             end = len(text)
-        line = text[start:end]
-        lineno += 1
+        for line in text[start:end].split("\n"):
+            lineno += 1
+            if line and not line[0].isspace() and line[0] != "#":
+                yield lineno, line
+            elif (stripped := line.strip()) and stripped[0] != "#":
+                yield lineno, line
         start = end + 1
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            yield lineno, line
 
 
 def natural(text: str) -> int | None:

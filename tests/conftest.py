@@ -66,6 +66,25 @@ def reference_join(tagged_texts):
                            initials=tuple(initials), starts=tuple(starts))
 
 
+def reference_content_lines(text):
+    """Every line that is neither blank nor a ``#`` comment, as (1-based
+    line number, line), found one ``str.find`` at a time: the reference
+    for ``source.content_lines``, which splits the text in blocks."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lineno = start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        line = text[start:end]
+        lineno += 1
+        start = end + 1
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line
+
+
 def per_document_counts(pn_flat, svc_flat, tagged_texts, policy="longest"):
     """Reference for corpus-wide counts: ``classify_pn`` over each text's
     own matches, summed field by field."""

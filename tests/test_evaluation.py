@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
+from lexgram import source
 from lexgram.concord import ConcordanceLine
-from lexgram.errors import EmptyGold, EmptySystem, ZeroRecall
+from lexgram.errors import EmptyGold, EmptySystem, MalformedGold, ZeroRecall
 from lexgram.evaluation import (
     GoldSpan,
     Metrics,
@@ -19,6 +23,7 @@ from lexgram.evaluation import (
     recall,
     round_display,
 )
+from lexgram.pipeline import MetricRow, _eval_stage
 from lexgram.rtn import Match
 
 from conftest import fixture_path
@@ -248,3 +253,119 @@ def test_in_lexicon_recall_equal_sets(index):
     spans = [gold("doc1", 25, 34, head="attention")]
     system = [line("doc1", 20, 40)]
     assert in_lexicon_recall(system, spans, index) == pytest.approx(1.0)
+
+
+# -- gold reader and records ---------------------------------------------------
+
+GOOD_GOLD = "d\t0\t7\tPN\tE1\tchat"
+BAD_GOLD = [
+    ("d\t0\t7\tPN\tE1", "gold line needs 6 tab-separated fields"),
+    ("d\t0\t7\tPN\tE1\tchat\tx", "gold line needs 6 tab-separated fields"),
+    ("d\t-3\t7\tPN\tE1\tchat", "bad byte offset '-3'"),
+    ("d\t0\t1_0\tPN\tE1\tchat", "bad byte offset '1_0'"),
+    ("d\t 3\t7\tPN\tE1\tchat", "bad byte offset ' 3'"),
+    ("d\t0\t\u0661\u0662\tPN\tE1\tchat", "bad byte offset '\u0661\u0662'"),
+    ("d\t5\t5\tPN\tE1\tchat", "empty gold span d:5"),
+    ("d\t0\t7\tXX\tE1\tchat", "unknown gold label 'XX'"),
+]
+
+
+def _gold_lines_up_to_block_edge() -> list[str]:
+    """Comment, blank and good gold lines such that the line after them
+    opens the second block of ``content_lines``."""
+    lines = ["# gold", ""]
+    size = len("\n".join(lines)) + 1
+    while size <= source.BLOCK:
+        lines.append(GOOD_GOLD)
+        size += len(GOOD_GOLD) + 1
+    return lines
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("bad, message", BAD_GOLD)
+@pytest.mark.parametrize("after", ["head", "block edge"])
+def test_load_gold_errors_keep_message_and_line(tmp_path, newline, bad, message, after):
+    before = ["# gold", "", GOOD_GOLD] if after == "head" else _gold_lines_up_to_block_edge()
+    path = tmp_path / "gold.tsv"
+    path.write_bytes(newline.join(before + [bad, GOOD_GOLD, ""]).encode("utf-8"))
+    with pytest.raises(MalformedGold) as caught:
+        load_gold(str(path))
+    assert (caught.value.reason, caught.value.line) == (message, len(before) + 1)
+    assert str(caught.value) == f"{message} ({path}, line {len(before) + 1})"
+
+
+def test_gold_span_checks_its_fields_and_is_an_immutable_hashable_tuple():
+    span = gold("d", 0, 7, head="chat")
+    with pytest.raises(ValueError, match="^empty gold span d:5$"):
+        gold("d", 5, 5)
+    with pytest.raises(ValueError, match="^unknown gold label 'XX'$"):
+        gold("d", 0, 7, label="XX")
+    with pytest.raises(ValueError, match="^empty gold span d:0$"):
+        span._replace(end_byte=0)
+    with pytest.raises(ValueError, match="^unknown gold label 'pn'$"):
+        GoldSpan._make(("d", 0, 7, "pn", "E1", ""))
+    with pytest.raises(AttributeError):
+        span.start_byte = 3
+    assert span == ("d", 0, 7, "PN", "E1", "chat") == gold("d", 0, 7, head="chat")
+    assert len({span, gold("d", 0, 7, head="chat"), gold("d", 0, 7)}) == 2
+    assert (span.doc_id, span.end_byte, span.label, gold("d", 0, 7).head_form) == ("d", 7, "PN", "")
+
+
+# -- the evaluation stage ---------------------------------------------------------
+
+def filtered_eval_rows(cfg, pn_lines, svc_lines):
+    """The metric rows and averages of ``_eval_stage`` from one filter over
+    the gold list per label and per (label, annotator): the reference for
+    its one grouping pass."""
+    spans = load_gold(cfg.gold)
+    if cfg.eval_docs:
+        wanted = set(cfg.eval_docs)
+        spans = [g for g in spans if g.doc_id in wanted]
+        pn_lines = [l for l in pn_lines if l.doc_id in wanted]
+        svc_lines = [l for l in svc_lines if l.doc_id in wanted]
+    rows, averaged = [], {}
+    for label, system in (("PN", pn_lines), ("SVC", svc_lines)):
+        annotators = sorted({g.annotator for g in spans if g.label == label})
+        if not annotators:
+            continue
+        metrics = [measure(system, [g for g in spans if g.label == label and g.annotator == a],
+                           cfg.alignment) for a in annotators]
+        for annotator, m in zip(annotators, metrics):
+            rows.append(MetricRow("recall", label, annotator, str(m.gold_total),
+                                  str(m.matched), "-", m.r))
+            rows.append(MetricRow("precision", label, annotator, "-", str(m.matched),
+                                  str(m.system_total), m.p))
+        averaged[label] = (average(*(m.p for m in metrics)), average(*(m.r for m in metrics)))
+        rows.append(MetricRow("recall", label, "average", "-", "-", "-", averaged[label][1]))
+        rows.append(MetricRow("precision", label, "average", "-", "-", "-", averaged[label][0]))
+    return rows, averaged
+
+
+@pytest.mark.parametrize("labels, eval_docs, alignment", [
+    (("PN", "SVC"), [], "overlap"),
+    (("PN", "SVC"), [], "exact"),
+    (("PN",), [], "overlap"),
+    (("SVC",), ["doc1"], "overlap"),
+    (("PN", "SVC"), ["doc1"], "overlap"),
+    (("PN",), ["doc2"], "overlap"),
+])
+def test_eval_stage_equals_one_filter_per_label_and_annotator(fixture_run, tmp_path, labels,
+                                                              eval_docs, alignment):
+    # the fixture gold, a third annotator copying every other E1 span, and
+    # the lines shuffled so that labels and annotators interleave
+    with open(fixture_path("gold", "annotations.tsv"), encoding="utf-8") as handle:
+        lines = [l.rstrip("\n") for l in handle if l.strip() and not l.startswith("#")]
+    lines += [l.replace("\tE1\t", "\tE3\t") for l in lines[::2] if "\tE1\t" in l]
+    lines = [l for l in lines if l.split("\t")[3] in labels]
+    random.Random(7).shuffle(lines)
+    path = tmp_path / "gold.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = replace(fixture_run.cfg, gold=str(path), eval_docs=eval_docs, alignment=alignment)
+    pn_lines, svc_lines = fixture_run.lines("pn"), fixture_run.lines("svc")
+
+    rows, correction = _eval_stage(cfg, pn_lines, svc_lines, fixture_run.counts)
+    want, averaged = filtered_eval_rows(cfg, pn_lines, svc_lines)
+    assert {r.annotator for r in rows} >= {"E3"} and {r.label for r in rows} == set(labels)
+    assert [r for r in rows if r.section != "correction"] == want
+    both = len(averaged) == 2 and all(r > 0 for _, r in averaged.values())
+    assert correction == ((averaged["PN"], averaged["SVC"]) if both else None)

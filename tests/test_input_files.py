@@ -14,7 +14,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from lexgram.cli import main
 from lexgram.errors import LexgramError, MalformedEntry, MalformedGold, MalformedGraph
@@ -23,7 +23,10 @@ from lexgram.inflect import load_lemma_entries, load_paradigms, parse_lemma_entr
 from lexgram.lexicon import load_lexicon, parse_entry
 from lexgram.pipeline import RunConfig, load_corpus, parse_config
 from lexgram.rtn import load_grammar, parse_graph_file
+from lexgram import source
 from lexgram.source import content_lines, read_text
+
+from conftest import reference_content_lines
 
 # a complete run on which every reader has one file; `run` exits 0 on it
 FILES = {
@@ -203,6 +206,36 @@ def test_content_lines_break_at_lf_crlf_and_cr_only():
     text = "a\r\nb\rc\n\n  # note\n \t\n\x0bd\x0ce\x85f g\nlast"
     assert list(content_lines(text)) == [
         (1, "a"), (2, "b"), (3, "c"), (7, "\x0bd\x0ce\x85f g"), (8, "last")]
+
+
+# pieces of line-oriented text: every break, blank and whitespace-only
+# lines (Python's whitespace beyond ASCII too), comments after leading
+# whitespace and non-ASCII content
+LINE_PIECES = ["a", "bc", "é", "中文", "x y", "#", "# c", " # c", "\t#", "a#b", " ", "\t",
+               "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n", "\n\n", "\r\n", "\r"]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, source.BLOCK])
+@settings(max_examples=200, deadline=None)
+@given(text=st.lists(st.sampled_from(LINE_PIECES), max_size=40).map("".join))
+@example(text="")
+@example(text="ab\r\ncd\ref\r")
+@example(text="a\rb\r\r\nc\n \x85\n  # c\r\u2028d")
+def test_content_lines_equal_the_line_by_line_reader(block, text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(source, "BLOCK", block)
+        assert list(content_lines(text)) == list(reference_content_lines(text))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_content_lines_across_default_blocks(newline):
+    # lines of every length around the block size, with breaks, blank and
+    # comment lines falling on and beside each block edge
+    lines = []
+    for i in range(source.BLOCK // 5):
+        lines.append(["", "  # c", "\x85", "é" * (i % 97), "x\ty" * (i % 13)][i % 5])
+    text = newline.join(lines)
+    assert list(content_lines(text)) == list(reference_content_lines(text))
 
 
 def test_read_text_is_strict_utf8(tmp_path):
