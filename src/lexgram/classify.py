@@ -9,16 +9,17 @@ still counts once: the statistics are per occurrence.
 Every scope, the global row and each subcategory row, counts over the
 one corpus that ``textproc.build_corpus`` builds.  The global row counts
 the run's matches, one ``rtn.locate`` per grammar.  ``by_subcategory``
-gives each token one scope key, worked out once per distinct key and
-sentence-initial mark (``textproc.ScopeKeys``): its analyses in each
-subcategory (``textproc.RestrictedKeys``).  A grammar family, each
-subcategory's own graph or the main one again, is compiled into one
-union DFA and walked once over those keys (``rtn.locate_scopes``), so
-the rows take one walk for the noun grammar and one for the verb grammar
-whatever the number of subcategories.  Each subcategory gives only token
-spans, which ``classify_pn`` counts.  A noun listed under two
-subcategories is counted in both rows, so subcategory counts may sum
-above the global row.
+gives each token one scope key (``textproc.scope_keys``): its analyses
+in each subcategory, by the rule that tags the corpus, ``lexicon.lookup``
+with the subcategory, worked out once per distinct surface and
+sentence-initial mark.  A grammar family, each subcategory's own graph
+or the main one again, is compiled into one union DFA and walked once
+over those keys (``rtn.locate_scopes``), so the rows take one walk for
+the noun grammar and one for the verb grammar whatever the number of
+subcategories.  Each subcategory gives only token spans, which
+``classify_pn`` counts.  A noun listed under two subcategories is
+counted in both rows, so subcategory counts may sum above the global
+row.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from . import evaluation
 from .errors import LexgramError
 from .lexicon import CASE_FOLD, SUBCATEGORIES, LexIndex
 from .rtn import Graph, Match, Span, locate_scopes
-from .textproc import Corpus, ScopeKeys
+from .textproc import Corpus, scope_keys
 
 ALL_SCOPE = "all"
 
@@ -127,8 +128,7 @@ def by_subcategory(corpus: Corpus, overall: ClassifiedCounts,
 
     rows: list[SubcatRow] = []
     if subcats:
-        view = corpus._replace(keys=ScopeKeys(index, subcats, case_policy)
-                               .restrict(corpus.keys, corpus.initials))
+        view = corpus._replace(keys=scope_keys(corpus, index, subcats, case_policy))
         pn_spans, svc_spans = (
             locate_scopes([by_subcat.get(subcat, flat) for subcat in subcats], view, policy)
             for flat, by_subcat in ((pn_flat, pn_by_subcat), (svc_flat, svc_by_subcat)))

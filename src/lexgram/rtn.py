@@ -34,7 +34,7 @@ finite-state graph.  ``locate_scopes`` matches several flattened graphs,
 one per scope, in one walk: it compiles them into one union NFA whose
 states carry their scope (``_Compiled``), as a multi-pattern matcher
 compiles several regexes into one automaton.  A token key holds the
-surface, then the token's analyses in each scope (``textproc.ScopeKeys``),
+surface, then the token's analyses in each scope (``textproc.scope_keys``),
 and a mask of scope ``i`` reads the analyses of scope ``i``.  ``locate``
 and ``span_accepts`` are the one-scope case, whose compile is cached on
 the graph.  What a label makes of a token (``readings``) is memoized per

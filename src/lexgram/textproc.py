@@ -33,10 +33,12 @@ text is searched for its first word.
 one ``Corpus`` of columns and builds no token object.  A token's key
 (surface, analyses) depends only on its surface and on whether it is a
 sentence-initial word, so two maps per corpus, filled on first use,
-look each distinct surface up once.  Byte offsets are not stored: a
-corpus keeps its texts and each token's character start, and converts
-on demand with one table per text, built on first use by one scan for
-non-ASCII characters; an ASCII text's table is empty.
+look each distinct surface up once (``_key_column``).  ``scope_keys``
+builds the subcategory rows' column by the same rule, whose analyses
+in a subcategory are ``lookup(..., subcat)``.  Byte offsets are not
+stored: a corpus keeps its texts and each token's character start, and
+converts on demand with one table per text, built on first use by one
+scan for non-ASCII characters; an ASCII text's table is empty.
 
 ``tokenize`` and ``tag`` stay the per-document API over the same scan
 and the same analysis rule (``_analyses``): ``Token`` objects with byte
@@ -56,7 +58,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import EmptyInput, InvalidEncoding
-from .lexicon import CASE_FOLD, Analysis, LexIndex, lookup, subcategory_analyses
+from .lexicon import CASE_EXACT, CASE_FOLD, Analysis, LexIndex, lookup
 
 WORD = "word"
 PUNCT = "punct"
@@ -277,18 +279,19 @@ def _fixed_analyses(kind: str, surface: str) -> frozenset[Analysis]:
 
 
 def _analyses(index: LexIndex, surface: str, kind: str, initial: bool,
-              case_policy: str) -> frozenset[Analysis]:
-    """A token's analyses: a word keeps the full lookup result (folding
-    applies only to sentence-initial words and only under the fold
-    policy), or UNKNOWN when there is none; punctuation gets a PONCT
-    analysis and a digit run a NUM analysis.  Tokens with the same
-    analyses share one set object, in every text (the index returns one
-    set per form, and punctuation and number sets are cached), so
-    matchers can memoize per set."""
+              case_policy: str, subcat: str | None = None) -> frozenset[Analysis]:
+    """A token's analyses in the scope ``subcat`` (``None``: the whole
+    lexicon): a word keeps the full ``lookup`` result (folding applies
+    only to sentence-initial words and only under the fold policy), or
+    UNKNOWN when there is none; punctuation gets a PONCT analysis and a
+    digit run a NUM analysis, in every scope.  In the whole lexicon,
+    tokens with the same analyses share one set object, in every text
+    (the index keeps one set per form, and punctuation and number sets
+    are cached), so matchers can memoize per set."""
     if kind != WORD:
         return _fixed_analyses(kind, surface)
-    found = lookup(index, surface, case_policy) if initial else index.get(surface)
-    return found or UNKNOWN_ANALYSES
+    return (lookup(index, surface, case_policy if initial else CASE_EXACT, subcat)
+            or UNKNOWN_ANALYSES)
 
 
 def tag(tokens: list[Token], index: LexIndex, source: str,
@@ -309,22 +312,40 @@ def tag(tokens: list[Token], index: LexIndex, source: str,
 
 
 class _Keys(dict):
-    """Surface -> interned key (surface, analyses) of the tokens in one
-    position: sentence-initial words, or every other token.  Filled on
-    first use; the two maps of a corpus share ``interned``, so equal keys
-    are one tuple across the corpus."""
+    """Surface -> interned key of the tokens in one position
+    (sentence-initial words, or every other token): the surface, then its
+    analyses in each of ``scopes`` (``_analyses``).  Filled on first use;
+    the two maps of a column share ``interned``, which holds keys and
+    analysis sets alike, so equal keys are one tuple and equal sets one
+    object, and the matcher's caches hit by identity."""
 
-    def __init__(self, index: LexIndex, initial: bool, case_policy: str,
-                 interned: dict[tuple, tuple]):
+    def __init__(self, index: LexIndex, scopes: Sequence[str | None], initial: bool,
+                 case_policy: str, interned: dict):
         super().__init__()
-        self._index, self._initial, self._case_policy = index, initial, case_policy
-        self._interned = interned
+        self._index, self._scopes, self._initial = index, scopes, initial
+        self._case_policy, self._interned = case_policy, interned
 
     def __missing__(self, surface: str) -> tuple:
-        key = (surface, _analyses(self._index, surface, _kind(surface), self._initial,
-                                  self._case_policy))
-        found = self[surface] = self._interned.setdefault(key, key)
+        kind, interned = _kind(surface), self._interned
+        sets = [_analyses(self._index, surface, kind, self._initial, self._case_policy, subcat)
+                for subcat in self._scopes]
+        key = (surface, *[interned.setdefault(found, found) for found in sets])
+        found = self[surface] = interned.setdefault(key, key)
         return found
+
+
+def _key_column(surfaces: list[str], initials: Iterable[int], index: LexIndex,
+                scopes: Sequence[str | None], case_policy: str) -> list[tuple]:
+    """Each token's key in ``scopes``, from its surface and from whether
+    it is a sentence-initial word (its index is in ``initials``): one
+    ``_Keys`` map for each of the two, so every distinct surface is looked
+    up once per position."""
+    interned: dict = {}
+    keys = list(map(_Keys(index, scopes, False, case_policy, interned).__getitem__, surfaces))
+    first = _Keys(index, scopes, True, case_policy, interned)
+    for i in initials:
+        keys[i] = first[surfaces[i]]
+    return keys
 
 
 class Corpus(NamedTuple):
@@ -400,131 +421,38 @@ class _TokenView(Sequence):
 def build_corpus(texts: Iterable[str], index: LexIndex,
                  case_policy: str = CASE_FOLD) -> Corpus:
     """The texts tokenized and tagged as ``tag(tokenize(text), ...)``
-    would, straight into one ``Corpus``."""
+    would, straight into one ``Corpus``: the global scope (``None``) of
+    ``_key_column``."""
     texts = tuple(texts)
-    interned: dict[tuple, tuple] = {}
-    inner = _Keys(index, False, case_policy, interned)
-    first = _Keys(index, True, case_policy, interned)
-    keys: list[tuple] = []
+    surfaces: list[str] = []
     char_starts: list[int] = []
     boundaries: list[int] = []
     initials: list[int] = []
     starts: list[int] = []
     for text in texts:
-        surfaces, offsets, openings = _columns(text)
-        at = len(keys)
+        words, offsets, openings = _columns(text)
+        at = len(surfaces)
         starts.append(at)
-        if at and surfaces:
+        if at and words:
             boundaries.append(at)
         boundaries.extend(at + i for i in openings)
-        keys += map(inner.__getitem__, surfaces)
+        initials.extend(at + i for i in _initials(words, openings))
+        surfaces += words
         char_starts += offsets
-        # the sentence-initial words take the other map's keys
-        for i in _initials(surfaces, openings):
-            keys[at + i] = first[surfaces[i]]
-            initials.append(at + i)
+    keys = _key_column(surfaces, initials, index, (None,), case_policy)
     return Corpus(keys, tuple(boundaries), tuple(initials), tuple(starts), texts,
                   char_starts, {})
 
 
-class RestrictedKeys(dict):
-    """Token keys as tagged against ``index`` -> the same tokens' keys as
-    tagged against ``filter_subcategory(entries, subcat)``, where ``index``
-    holds all the entries.  Filled on first use, so one map serves every
-    text tagged against ``index`` under ``case_policy``.
-
-    A key keeps the analyses ``in_subcategory`` keeps, and becomes UNKNOWN
-    when none are left; a key that keeps them all maps to itself.  That is
-    the whole restriction except at a sentence-initial word left UNKNOWN,
-    which ``restrict`` looks up again (the fold policy retries its
-    lowercased form).  A restricted key restricts to itself, so the map
-    also interns: equal restricted keys are one tuple and equal restricted
-    sets one object, and the matcher's caches hit by identity.
-    """
-
-    def __init__(self, index: LexIndex, subcat: str, case_policy: str):
-        super().__init__()
-        self._index, self._subcat, self._case_policy = index, subcat, case_policy
-        self._sets: dict[frozenset[Analysis], frozenset[Analysis]] = {}
-
-    def _kept(self, analyses: frozenset[Analysis]) -> frozenset[Analysis]:
-        found = self._sets.get(analyses)
-        if found is None:
-            own = subcategory_analyses(analyses, self._subcat) or UNKNOWN_ANALYSES
-            # a restricted set restricts to itself, so one memo also interns
-            found = self._sets.setdefault(own, analyses if own == analyses else own)
-            self._sets[analyses] = found
-        return found
-
-    def _interned(self, surface: str, analyses: frozenset[Analysis]) -> tuple:
-        key = (surface, analyses)
-        return self.setdefault(key, key)
-
-    def __missing__(self, key: tuple) -> tuple:
-        surface, analyses = key
-        kept = self._kept(analyses)
-        found = key if kept is analyses else self._interned(surface, kept)
-        self[key] = found
-        return found
-
-    def initial(self, key: tuple) -> tuple:
-        """The restricted key of a sentence-initial word whose key is ``key``."""
-        found = self[key]
-        if found[1] is UNKNOWN_ANALYSES:
-            surface = key[0]
-            kept = self._kept(lookup(self._index, surface, self._case_policy, self._subcat))
-            found = self._interned(surface, kept)
-        return found
-
-    def restrict(self, keys: list[tuple], initials: Iterable[int]) -> list[tuple]:
-        """The restricted ``keys`` of a text whose sentence-initial words
-        are at the indices ``initials``."""
-        restricted = list(map(self.__getitem__, keys))
-        for i in initials:
-            restricted[i] = self.initial(keys[i])
-        return restricted
-
-
-class ScopeKeys(dict):
-    """Token keys as tagged against ``index`` -> scope keys: the surface,
-    then the same token's analyses in each of ``subcats``
-    (``RestrictedKeys``).  ``rtn.locate_scopes`` reads a column of them
-    with ``subcats[i]`` as scope ``i``.
-
-    A token's scope key depends only on its key and on whether it is a
-    sentence-initial word, so it is worked out once per distinct pair:
-    this map holds the keys of every other token, ``restrict`` keeps a
-    second one for the sentence-initial words.  Equal scope keys are one
-    tuple, so the matcher's caches hit by identity.
-    """
-
-    def __init__(self, index: LexIndex, subcats: Sequence[str], case_policy: str):
-        super().__init__()
-        self._scopes = [RestrictedKeys(index, subcat, case_policy) for subcat in subcats]
-        self._initials: dict[tuple, tuple] = {}
-        self._interned: dict[tuple, tuple] = {}
-
-    def _scope_key(self, key: tuple, restricted: Iterable[tuple]) -> tuple:
-        found = (key[0], *(r[1] for r in restricted))
-        return self._interned.setdefault(found, found)
-
-    def __missing__(self, key: tuple) -> tuple:
-        found = self[key] = self._scope_key(key, [scope[key] for scope in self._scopes])
-        return found
-
-    def restrict(self, keys: list[tuple], initials: Iterable[int]) -> list[tuple]:
-        """The scope keys of a text whose sentence-initial words are at the
-        indices ``initials``."""
-        column = list(map(self.__getitem__, keys))
-        firsts = self._initials
-        for i in initials:
-            key = keys[i]
-            found = firsts.get(key)
-            if found is None:
-                found = firsts[key] = self._scope_key(
-                    key, [scope.initial(key) for scope in self._scopes])
-            column[i] = found
-        return column
+def scope_keys(corpus: Corpus, index: LexIndex, subcats: Sequence[str],
+               case_policy: str) -> list[tuple]:
+    """Each token's scope key: its surface, then its analyses in each of
+    ``subcats``, as tagging against ``filter_subcategory(entries,
+    subcat)`` gives them, where ``index`` holds all the entries and
+    ``corpus`` was built under ``case_policy``.  ``rtn.locate_scopes``
+    reads the column with ``subcats[i]`` as scope ``i``."""
+    return _key_column([key[0] for key in corpus.keys], corpus.initials, index, subcats,
+                       case_policy)
 
 
 def tagging_coverage(tagged: TaggedText) -> float:

@@ -16,10 +16,10 @@ from lexgram.lexicon import (CASE_EXACT, CASE_POLICIES, SUBCATEGORIES, LexEntry,
                              filter_subcategory, lookup, parse_entry)
 from lexgram.rtn import (EPSILON, POLICIES, Grammar, Graph, Literal, Mask, Match, locate,
                          locate_recursive, locate_scopes, span_accepts)
-from lexgram.textproc import (UNKNOWN_ANALYSES, WORD, RestrictedKeys, ScopeKeys, build_corpus,
-                              tag, tokenize)
+from lexgram.textproc import (UNKNOWN_ANALYSES, WORD, build_corpus, scope_keys, tag,
+                              tokenize)
 
-from conftest import fixture_path, per_document_counts
+from conftest import fixture_path, per_document_counts, reference_join
 
 CASES = 1000
 
@@ -202,26 +202,39 @@ def subcat_entries(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(extra=subcat_entries(),
-       pieces=st.lists(st.sampled_from(_TEXT_PIECES), max_size=20))
-def test_restricted_tagging_equals_filtered_lexicon(entries, extra, pieces):
-    """Restricting the keys of the full tagging to a subcategory equals
-    tagging against the lexicon filtered to that subcategory, token by
-    token."""
+       texts=st.lists(st.lists(st.sampled_from(_TEXT_PIECES), max_size=20).map(" ".join),
+                      min_size=1, max_size=3))
+@example(extra=[], texts=["Pêche pêche"])
+@example(extra=[LexEntry("Vol", "a", "N", ("PN", "NCA"), ("ms",))], texts=["", "Vol vol . Vol"])
+def test_restricted_tagging_equals_filtered_lexicon(entries, extra, texts):
+    """The scope keys of a corpus of 1-3 texts, some maybe empty, equal
+    its texts tagged against the lexicon filtered to each subcategory,
+    token by token.  A sentence-initial "Pêche" folds to the set that
+    "pêche" has in each scope; a sentence-initial "Vol", an NCA noun,
+    finds the NCF "vol" only by the retry in NCF."""
     lexicon = entries + extra
-    text = " ".join(pieces)
-    tokens = tokenize(text)
     full = build_index(lexicon)
     for policy in CASE_POLICIES:
-        tagged = tag(tokens, full, text, policy)
-        assert tagged.initials == tuple(i for i, t in enumerate(tokens) if t.sentence_initial)
-        for subcat in SUBCATEGORIES:
+        corpus = build_corpus(texts, full, policy)
+        for text in texts:
+            tokens = tokenize(text)
+            tagged = tag(tokens, full, text, policy)
+            assert tagged.initials == tuple(i for i, t in enumerate(tokens)
+                                            if t.sentence_initial)
+        column = scope_keys(corpus, full, SUBCATEGORIES, policy)
+        for scope, subcat in enumerate(SUBCATEGORIES, 1):
             scoped = build_index(filter_subcategory(lexicon, subcat))
-            keys = RestrictedKeys(full, subcat, policy).restrict(tagged.keys, tagged.initials)
-            assert keys == tag(tokens, scoped, text, policy).keys, (subcat, policy)
+            want = reference_join(tag(tokenize(t), scoped, t, policy) for t in texts)
+            keys = scope_keys(corpus, full, (subcat,), policy)
+            assert keys == want.keys, (subcat, policy)
+            assert [(key[0], key[scope]) for key in column] == want.keys, (subcat, policy)
             # equal keys and equal analysis sets are one object, for the
             # matcher's caches
             assert len(set(map(id, keys))) == len(set(keys))
             assert len({id(k[1]) for k in keys}) == len({k[1] for k in keys})
+        assert len(set(map(id, column))) == len(set(column))
+        assert len({id(a) for k in column for a in k[1:]}) == len({a for k in column
+                                                                   for a in k[1:]})
 
 
 @settings(max_examples=200, deadline=None)
@@ -379,11 +392,11 @@ def test_scoped_walk_equals_one_locate_per_scope(entries, limit, rng, extra, tex
     pool = [main, random_scope_graph(rng), random_scope_graph(rng)]
     overrides = {sc: rng.choice(pool) for sc in subcats if rng.random() < 0.6}
     graphs = tuple(overrides.get(sc, main) for sc in subcats)
-    views = [corpus._replace(keys=RestrictedKeys(index, sc, case_policy)
-                             .restrict(corpus.keys, corpus.initials))
+    views = [corpus._replace(keys=reference_join(
+                 tag(tokenize(t), build_index(filter_subcategory(lexicon, sc)), t, case_policy)
+                 for t in texts).keys)
              for sc in subcats]
-    scoped = corpus._replace(keys=ScopeKeys(index, subcats, case_policy)
-                             .restrict(corpus.keys, corpus.initials))
+    scoped = corpus._replace(keys=scope_keys(corpus, index, subcats, case_policy))
     with mock.patch.object(rtn, "DFA_CACHE_LIMIT", limit or rtn.DFA_CACHE_LIMIT):
         for policy in POLICIES:
             walked = locate_scopes(graphs, scoped, policy)

@@ -9,8 +9,8 @@ from lexgram.textproc import (
     PUNCT,
     UNKNOWN,
     WORD,
-    RestrictedKeys,
     dump_tagged,
+    scope_keys,
     tag,
     tagging_coverage,
     tokenize,
@@ -164,8 +164,7 @@ def test_corpus_tokens_view_equals_reference_tokens(fixture_run, entries):
     with pytest.raises(IndexError):
         corpus.tokens[len(corpus.keys)]
     for subcat in SUBCATEGORIES:
-        view = corpus._replace(keys=RestrictedKeys(fixture_run.index, subcat, policy)
-                               .restrict(corpus.keys, corpus.initials))
+        view = corpus._replace(keys=scope_keys(corpus, fixture_run.index, (subcat,), policy))
         scoped = build_index(filter_subcategory(entries, subcat))
         want = reference_join(tag(tokenize(t), scoped, t, policy) for t in texts)
         assert len(view.tokens) == len(view.keys)
