@@ -42,14 +42,14 @@ from .rtn import (
     locate_recursive,
     match_label,
 )
-from .textproc import TaggedText, Token, tag, tagging_coverage, tokenize
+from .textproc import Corpus, Token, tag, tagging_coverage, tokenize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Analysis", "ClassifiedCounts", "ConcordanceLine", "GoldSpan", "Grammar",
-    "Graph", "LemmaEntry", "LexEntry", "LexIndex", "LexgramError", "Match",
-    "Metrics", "Paradigm", "RunConfig", "SubcatRow", "TaggedText", "Token",
+    "Analysis", "ClassifiedCounts", "ConcordanceLine", "Corpus", "GoldSpan",
+    "Grammar", "Graph", "LemmaEntry", "LexEntry", "LexIndex", "LexgramError",
+    "Match", "Metrics", "Paradigm", "RunConfig", "SubcatRow", "Token",
     "align", "average", "bias_correct", "build_concordance", "build_index",
     "by_subcategory", "check_recursion", "classify_pn", "corrected_proportion",
     "expand_lexicon", "filter_subcategory", "flatten", "generate",

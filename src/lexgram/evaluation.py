@@ -5,14 +5,15 @@ Gold file: TSV with one span per line,
     doc_id  start_byte  end_byte  label  annotator  head_form
 
 where label is PN or SVC.  Alignment between system concordance lines and
-gold spans is greedy one-to-one in text order over candidate pairs, a
-line matching a span when their byte ranges overlap (or are equal, under
-the exact criterion).  Processing candidate pairs in a symmetric text
-order keeps the matched count invariant under swapping system and gold;
-pairs with equal order keys go in (system index, gold index) order.
-Only spans of the same document are paired, and each document's gold
-spans are sorted by start byte once, so a system line visits only the
-gold spans that can hit it.
+gold spans is greedy one-to-one in text order, a line matching a span
+when their byte ranges overlap (or are equal, under the exact
+criterion): each line in turn, by (start, end), takes the first free
+span that hits it, by (start, end).  The count equals that of a greedy
+pass over all candidate pairs in a text order symmetric in the two
+sides, so it is invariant under swapping system and gold.  Only spans
+of the same document are paired, and each document's gold spans are
+sorted by start byte once, so a system line visits only the gold spans
+that can hit it.
 
 The correction extrapolates a raw occurrence count with measured
 precision and recall: corrected = n * p / r.  All ratios stay unrounded
@@ -126,46 +127,38 @@ def align(system: list[ConcordanceLine], gold: list[GoldSpan],
           criterion: str = OVERLAP) -> int:
     """Greedy one-to-one alignment count in text order.
 
-    Candidate pairs are ordered by a key symmetric in the two sides, so
-    swapping system and gold yields the same count (which makes precision
-    and recall swap cleanly); pairs with equal keys go in (system index,
-    gold index) order.  Each system line is compared only with the gold
-    spans of its own document that can hit it: their start bytes are
-    sorted once, so under ``exact`` a bisection finds the equal starts,
-    and under ``overlap`` the starts between the line's start minus the
-    document's longest gold span and the line's end.
+    The system lines are visited in (document, start byte, end byte)
+    order, lines with equal keys being interchangeable, and each takes
+    the first unused gold span of its document that hits it, in (start
+    byte, end byte, index) order.  This
+    is the greedy pass over every candidate pair ordered by a key
+    symmetric in the two sides, whose result depends only on how it
+    orders two pairs that share a line or a span, which is the same:
+    so swapping system and gold yields the same count, and precision
+    and recall swap cleanly.  A line is compared only with the gold
+    spans that can hit it: their start bytes are sorted once, so under
+    ``exact`` a bisection finds the equal starts, and under ``overlap``
+    the starts between the line's start minus the document's longest
+    gold span and the line's end.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown alignment criterion {criterion!r}")
     exact = criterion == EXACT
     docs = _gold_by_doc(gold)
-    candidates = []
-    for i, line in enumerate(system):
-        found = docs.get(line.doc_id)
-        if found is None:
-            continue
-        starts, spans, longest = found
-        ls, le = line.match.start_byte, line.match.end_byte
+    lines = sorted((line.doc_id, line.match.start_byte, line.match.end_byte)
+                   for line in system if line.doc_id in docs)
+    used: set[int] = set()
+    for doc_id, ls, le in lines:
+        starts, spans, longest = docs[doc_id]
         if exact:
             lo, hi = bisect_left(starts, ls), bisect_right(starts, ls)
         else:
             lo, hi = bisect_right(starts, ls - longest), bisect_left(starts, le)
         for gs, ge, j in spans[lo:hi]:
-            if (ge == le) if exact else (ls < ge):
-                s0, s1 = (ls, gs) if ls <= gs else (gs, ls)
-                e0, e1 = (le, ge) if le <= ge else (ge, le)
-                candidates.append((line.doc_id, s0, s1, e0, e1, i, j))
-    candidates.sort()
-    used_system: set[int] = set()
-    used_gold: set[int] = set()
-    matched = 0
-    for _doc, _s0, _s1, _e0, _e1, i, j in candidates:
-        if i in used_system or j in used_gold:
-            continue
-        used_system.add(i)
-        used_gold.add(j)
-        matched += 1
-    return matched
+            if j not in used and ((ge == le) if exact else (ls < ge)):
+                used.add(j)
+                break
+    return len(used)
 
 
 def recall(matched: int, gold_total: int) -> float:

@@ -50,7 +50,10 @@ accepts costs one lookup in its row.  The cache holds at most
 every state, row and start state is dropped and rebuilt on demand.
 ``locate_recursive``, a pushdown simulation over the unflattened
 grammar, stays the reference implementation (the oracle); both must
-agree on every match span and binding.
+agree on every match span and binding.  Every matcher takes a
+``textproc.Corpus`` (one text from ``textproc.tag``, or the run's
+corpus) and reads its key column; only ``match_label`` takes a
+``TaggedToken``.
 """
 from __future__ import annotations
 
@@ -61,7 +64,7 @@ from typing import NamedTuple
 
 from .errors import CycleError, MalformedGraph, UnresolvedCall
 from .source import content_lines, natural, read_text
-from .textproc import Corpus, TaggedText, TaggedToken
+from .textproc import Corpus, TaggedToken
 
 POLICY_LONGEST = "longest"
 POLICY_ALL = "all"
@@ -537,16 +540,18 @@ def _outcomes(label: Label, found: tuple | None,
     return out
 
 
-def _label_outcomes(label: Label, ttoken: TaggedToken,
-                    bindings: Bindings) -> list[Bindings]:
-    key = ttoken.token.surface if isinstance(label, Literal) else ttoken.analyses
-    return _outcomes(label, readings(label, key), bindings)
+def _label_outcomes(label: Label, key: tuple, bindings: Bindings) -> list[Bindings]:
+    """``_outcomes`` on a token key: a literal reads item 0, the surface,
+    and a mask item 1, the analyses."""
+    return _outcomes(label, readings(label, key[0] if isinstance(label, Literal) else key[1]),
+                     bindings)
 
 
 def match_label(label: Label, tagged_token: TaggedToken,
                 bindings: Bindings = EMPTY_BINDINGS) -> Bindings | None:
     """First successful outcome of a consuming label, or None on failure."""
-    outcomes = _label_outcomes(label, tagged_token, bindings)
+    key = (tagged_token.token.surface, tagged_token.analyses)
+    outcomes = _label_outcomes(label, key, bindings)
     return outcomes[0] if outcomes else None
 
 
@@ -785,9 +790,9 @@ class Span(NamedTuple):
     bindings: Bindings
 
 
-def locate_scopes(flats: Sequence[Graph], tagged: TaggedText | Corpus,
+def locate_scopes(flats: Sequence[Graph], tagged: Corpus,
                   policy: str = POLICY_LONGEST) -> list[list[Span]]:
-    """The spans of every scope in one walk over a tagged text or corpus.
+    """The spans of every scope in one walk over a corpus.
 
     Graph ``i`` of ``flats`` is scope ``i``: a mask of it reads item ``i +
     1`` of each token key in ``tagged.keys``, and a literal reads item 0,
@@ -816,14 +821,14 @@ def locate_scopes(flats: Sequence[Graph], tagged: TaggedText | Corpus,
     return found
 
 
-def matches(spans: list[Span], tagged: TaggedText | Corpus, name: str) -> list[Match]:
+def matches(spans: list[Span], tagged: Corpus, name: str) -> list[Match]:
     """The spans of one scope as ``Match``es of the graph ``name``."""
     return [Match(start, end, *tagged.byte_span(start, end), name, dict(bindings))
             for start, end, bindings in spans]
 
 
-def locate(flat: Graph, tagged: TaggedText | Corpus, policy: str = POLICY_LONGEST) -> list[Match]:
-    """All matches of a flattened graph over a tagged text or a corpus.
+def locate(flat: Graph, tagged: Corpus, policy: str = POLICY_LONGEST) -> list[Match]:
+    """All matches of a flattened graph over a corpus.
 
     Simulation runs from every start token, never crosses a sentence
     boundary, and reports spans per policy: the maximal end per start
@@ -834,7 +839,7 @@ def locate(flat: Graph, tagged: TaggedText | Corpus, policy: str = POLICY_LONGES
     return matches(locate_scopes((flat,), tagged, policy)[0], tagged, flat.name)
 
 
-def span_accepts(flat: Graph, tagged: TaggedText, start: int, end: int,
+def span_accepts(flat: Graph, tagged: Corpus, start: int, end: int,
                  bindings: Bindings | dict | None = None) -> bool:
     """Whether the graph accepts exactly [start, end), optionally with the
     agreement groups pre-bound.  Used to replay reported matches."""
@@ -851,8 +856,9 @@ def span_accepts(flat: Graph, tagged: TaggedText, start: int, end: int,
 # reference interpreter: executes calls on the unflattened grammar
 
 def _descend(grammar: Grammar, start: int, limit: int,
-             tagged: TaggedText) -> dict[tuple[int, Bindings], None]:
-    """Every (end, bindings) at which the main graph accepts from ``start``.
+             keys: list[tuple]) -> dict[tuple[int, Bindings], None]:
+    """Every (end, bindings) at which the main graph accepts from ``start``,
+    reading the token keys ``keys`` up to ``limit``.
 
     A pushdown simulation: a configuration is (graph, state, position,
     bindings, return point).  A return point indexes ``returns``, whose
@@ -886,12 +892,12 @@ def _descend(grammar: Grammar, start: int, limit: int,
                 callee = graphs[label.target]
                 frontier.append((label.target, callee.initial, pos, bindings, len(returns) - 1))
             elif pos < limit:
-                for after in _label_outcomes(label, tagged.tokens[pos], bindings):
+                for after in _label_outcomes(label, keys[pos], bindings):
                     frontier.append((name, to, pos + 1, after, back))
     return results
 
 
-def locate_recursive(grammar: Grammar, tagged: TaggedText,
+def locate_recursive(grammar: Grammar, tagged: Corpus,
                      policy: str = POLICY_LONGEST) -> list[Match]:
     """Reference matcher over the unflattened grammar; must agree with
     locate(flatten(grammar), ...) on every span."""
@@ -901,9 +907,9 @@ def locate_recursive(grammar: Grammar, tagged: TaggedText,
     if err is not None:
         raise err
     spans: list[Span] = []
-    for start in range(len(tagged.tokens)):
+    for start in range(len(tagged.keys)):
         limit = tagged.sentence_end(start)
-        raw = _descend(grammar, start, limit, tagged)
+        raw = _descend(grammar, start, limit, tagged.keys)
         reached: dict[int, list[Bindings]] = {}
         for (end, bindings) in raw:
             if end > start:

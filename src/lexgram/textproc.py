@@ -41,12 +41,13 @@ converts on demand with one table per text, built on first use by one
 scan for non-ASCII characters; an ASCII text's table is empty.
 
 ``tokenize`` and ``tag`` stay the per-document API over the same scan
-and the same analysis rule (``_analyses``): ``Token`` objects with byte
-offsets and sentence marks, and ``TaggedToken`` objects with their
-analyses.  Tagging attaches every analysis the lexicon has for a token;
-ambiguity is deliberately never pruned.  Words the lexicon does not
-cover get the UNKNOWN pseudo-analysis so downstream code can treat the
-token stream as fully annotated.
+and the same rule: ``tokenize`` gives ``Token`` objects with byte
+offsets and sentence marks, and ``tag`` turns them into a one-text
+``Corpus``.  ``Corpus.tokens`` reads any corpus back as ``TaggedToken``
+objects, for ``lexgram tag``.  Tagging attaches every analysis the
+lexicon has for a token; ambiguity is deliberately never pruned.  Words
+the lexicon does not cover get the UNKNOWN pseudo-analysis so
+downstream code can treat the token stream as fully annotated.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import EmptyInput, InvalidEncoding
@@ -82,9 +83,7 @@ _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 @dataclass(slots=True)
 class Token:
-    """A source span; offsets are byte positions into the UTF-8 text.
-
-    Tagged texts share their tokens, so a token is never mutated."""
+    """A source span; offsets are byte positions into the UTF-8 text."""
 
     surface: str
     start: int
@@ -104,40 +103,6 @@ class TaggedToken:
     @property
     def is_unknown(self) -> bool:
         return self.analyses == UNKNOWN_ANALYSES
-
-
-@dataclass
-class TaggedText:
-    """Tagged token stream plus the raw text it came from.
-
-    ``boundaries`` holds the indices of tokens that begin every sentence
-    after the first, strictly increasing, and ``initials`` those of the
-    sentence-initial words, increasing too.
-    """
-
-    tokens: list[TaggedToken]
-    source: str
-    boundaries: tuple[int, ...]
-    initials: tuple[int, ...]
-
-    @cached_property
-    def keys(self) -> list[tuple[str, frozenset[Analysis]]]:
-        """Each token's (surface, analyses), interned on first read: equal
-        keys are one tuple, so the matcher's caches hit by identity."""
-        interned: dict[tuple, tuple] = {}
-        return [interned.setdefault(key := (tt.token.surface, tt.analyses), key)
-                for tt in self.tokens]
-
-    def sentence_end(self, index: int) -> int:
-        """Index one past the last token of the sentence containing ``index``."""
-        at = bisect_right(self.boundaries, index)
-        if at < len(self.boundaries):
-            return self.boundaries[at]
-        return len(self.tokens)
-
-    def byte_span(self, start: int, end: int) -> tuple[int, int]:
-        """Byte offsets of the tokens [start, end)."""
-        return self.tokens[start].token.start, self.tokens[end - 1].token.end
 
 
 def _scan(run: str) -> list[tuple[int, int, str]]:
@@ -294,23 +259,6 @@ def _analyses(index: LexIndex, surface: str, kind: str, initial: bool,
             or UNKNOWN_ANALYSES)
 
 
-def tag(tokens: list[Token], index: LexIndex, source: str,
-        case_policy: str = CASE_FOLD) -> TaggedText:
-    """Attach all lexicon analyses (``_analyses``) to every token.  The
-    sentence boundaries are the tokens ``tokenize`` marked as opening a
-    sentence."""
-    tagged: list[TaggedToken] = []
-    initials: list[int] = []
-    for token in tokens:
-        initial = token.sentence_initial and token.kind == WORD
-        if initial:
-            initials.append(len(tagged))
-        tagged.append(TaggedToken(token, _analyses(index, token.surface, token.kind,
-                                                   initial, case_policy)))
-    boundaries = tuple(i for i, token in enumerate(tokens) if token.opens_sentence)
-    return TaggedText(tagged, source, boundaries, tuple(initials))
-
-
 class _Keys(dict):
     """Surface -> interned key of the tokens in one position
     (sentence-initial words, or every other token): the surface, then its
@@ -349,18 +297,18 @@ def _key_column(surfaces: list[str], initials: Iterable[int], index: LexIndex,
 
 
 class Corpus(NamedTuple):
-    """Several texts as one matcher input, in columns.
+    """One or more texts as one matcher input, in columns.
 
     ``keys`` holds each token's interned (surface, analyses) and
-    ``char_starts`` its character offset in its own text.  Token indices run over the whole corpus, and
-    ``starts`` holds the index of each text's first token.
-    ``boundaries`` holds the tokens that open a sentence after the
-    corpus's first, every nonempty text's first token among them, so no
-    match crosses a text and counts over the corpus equal the per-text
-    counts summed.  ``initials`` holds the sentence-initial words.  Byte
-    offsets come from ``byte_span``, which caches each text's table
-    (``_byte_table``, empty for an ASCII text) in ``byte_tables`` on
-    first use.
+    ``char_starts`` its character offset in its own text.  Token indices
+    run over the whole corpus, and ``starts`` holds the index of each
+    text's first token.  ``boundaries`` holds the tokens that open a
+    sentence after the corpus's first, every nonempty text's first token
+    among them, so no match crosses a text and counts over the corpus
+    equal the per-text counts summed.  ``initials`` holds the
+    sentence-initial words.  Byte offsets come from ``byte_span``, which
+    caches each text's table (``_byte_table``, empty for an ASCII text)
+    in ``byte_tables`` on first use.
     """
 
     keys: list[tuple]
@@ -382,6 +330,13 @@ class Corpus(NamedTuple):
         first = self.char_starts[start]
         last = self.char_starts[end - 1] + len(self.keys[end - 1][0])
         return first + extra[bisect_left(at, first)], last + extra[bisect_left(at, last)]
+
+    def sentence_end(self, index: int) -> int:
+        """Index one past the last token of the sentence containing ``index``."""
+        at = bisect_right(self.boundaries, index)
+        if at < len(self.boundaries):
+            return self.boundaries[at]
+        return len(self.keys)
 
     @property
     def tokens(self) -> Sequence[TaggedToken]:
@@ -444,6 +399,26 @@ def build_corpus(texts: Iterable[str], index: LexIndex,
                   char_starts, {})
 
 
+def tag(tokens: list[Token], index: LexIndex, source: str,
+        case_policy: str = CASE_FOLD) -> Corpus:
+    """``tokens``, as ``tokenize(source)`` gives them, tagged as a
+    one-text ``Corpus``: keys by ``_key_column``, sentence boundaries at
+    the tokens that open a sentence, and character starts converted from
+    the byte offsets in one pass."""
+    surfaces = [token.surface for token in tokens]
+    boundaries = tuple(i for i, token in enumerate(tokens) if token.opens_sentence)
+    initials = tuple(i for i, token in enumerate(tokens)
+                     if token.sentence_initial and token.kind == WORD)
+    blob = source.encode("utf-8")
+    char_starts, char, byte = [], 0, 0
+    for token in tokens:
+        char += len(blob[byte:token.start].decode("utf-8"))
+        byte = token.start
+        char_starts.append(char)
+    keys = _key_column(surfaces, initials, index, (None,), case_policy)
+    return Corpus(keys, boundaries, initials, (0,), (source,), char_starts, {})
+
+
 def scope_keys(corpus: Corpus, index: LexIndex, subcats: Sequence[str],
                case_policy: str) -> list[tuple]:
     """Each token's scope key: its surface, then its analyses in each of
@@ -455,13 +430,12 @@ def scope_keys(corpus: Corpus, index: LexIndex, subcats: Sequence[str],
                        case_policy)
 
 
-def tagging_coverage(tagged: TaggedText) -> float:
+def tagging_coverage(corpus: Corpus) -> float:
     """Fraction of word tokens carrying at least one real analysis."""
-    words = [t for t in tagged.tokens if t.token.kind == WORD]
+    words = [analyses for surface, analyses in corpus.keys if _kind(surface) == WORD]
     if not words:
         raise EmptyInput("no word tokens")
-    known = sum(1 for t in words if not t.is_unknown)
-    return known / len(words)
+    return sum(analyses != UNKNOWN_ANALYSES for analyses in words) / len(words)
 
 
 def dump_tagged(tokens: list[TaggedToken]) -> str:

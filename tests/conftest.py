@@ -9,9 +9,9 @@ import pytest
 from lexgram import pipeline, rtn
 from lexgram.classify import ClassifiedCounts, classify_pn
 from lexgram.inflect import expand_lexicon, load_lemma_entries, load_paradigms
-from lexgram.lexicon import load_lexicon
+from lexgram.lexicon import CASE_EXACT, CASE_FOLD, Analysis, load_lexicon, lookup
 from lexgram.rtn import locate
-from lexgram.textproc import tag, tokenize
+from lexgram.textproc import UNKNOWN_ANALYSES, TaggedToken, tag, tokenize
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO, "fixtures")
@@ -46,11 +46,36 @@ def reference_entries(cfg):
     return entries
 
 
+def reference_tag(tokens, index, case_policy=CASE_FOLD):
+    """The tokens tagged one at a time, as ``TaggedToken``s with their
+    sentence openings and sentence-initial words: the reference for the
+    key column of ``textproc.tag`` and ``textproc.build_corpus``.  A word
+    gets ``lookup`` under the case policy when it is sentence-initial and
+    exact otherwise, or UNKNOWN; a number gets a NUM analysis and any
+    other token a PONCT one, marked OPEN or CLOSE for brackets."""
+    tagged, initials = [], []
+    for i, token in enumerate(tokens):
+        if token.kind == "word":
+            if token.sentence_initial:
+                initials.append(i)
+            policy = case_policy if token.sentence_initial else CASE_EXACT
+            analyses = lookup(index, token.surface, policy) or UNKNOWN_ANALYSES
+        elif token.kind == "number":
+            analyses = frozenset([Analysis(token.surface, "NUM", frozenset())])
+        else:
+            feats = ({"OPEN"} if token.surface in "([{«" else
+                     {"CLOSE"} if token.surface in ")]}»" else set())
+            analyses = frozenset([Analysis(token.surface, "PONCT", frozenset(feats))])
+        tagged.append(TaggedToken(token, analyses))
+    boundaries = tuple(i for i, token in enumerate(tokens) if token.opens_sentence)
+    return SimpleNamespace(tokens=tagged, boundaries=boundaries, initials=tuple(initials))
+
+
 def reference_join(tagged_texts):
-    """The tagged texts as one corpus, as tokens: the reference for
-    ``textproc.build_corpus``.  Token indices run over the whole corpus,
-    byte offsets stay each text's own, every nonempty text after the
-    first opens a sentence, and equal keys are one tuple."""
+    """The tagged texts (``reference_tag``) as one corpus, as tokens: the
+    reference for ``textproc.build_corpus``.  Token indices run over the
+    whole corpus, byte offsets stay each text's own, every nonempty text
+    after the first opens a sentence, and equal keys are one tuple."""
     tokens, boundaries, initials, starts = [], [], [], []
     for tagged in tagged_texts:
         at = len(tokens)

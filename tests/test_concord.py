@@ -16,7 +16,7 @@ def pn_lines(tagged_docs, grammars, width=40):
     lines = []
     for doc_id, tagged in tagged_docs:
         matches = locate(flat, tagged)
-        lines.extend(build_concordance(matches, tagged.source, width, doc_id))
+        lines.extend(build_concordance(matches, tagged.texts[0], width, doc_id))
     return lines
 
 
@@ -24,7 +24,7 @@ def test_line_per_match_bijection(tagged_docs, grammars):
     flat = flatten(grammars.pn)
     for doc_id, tagged in tagged_docs:
         matches = locate(flat, tagged)
-        lines = build_concordance(matches, tagged.source, 40, doc_id)
+        lines = build_concordance(matches, tagged.texts[0], 40, doc_id)
         assert len(lines) == len(matches)
 
 
@@ -33,7 +33,7 @@ def test_center_reproduces_source_slice(tagged_docs, grammars):
         blob = None
         for doc_id, tagged in tagged_docs:
             if doc_id == line.doc_id:
-                blob = tagged.source.encode("utf-8")
+                blob = tagged.texts[0].encode("utf-8")
         assert blob is not None
         assert line.center == blob[line.match.start_byte:line.match.end_byte].decode()
 
@@ -130,7 +130,7 @@ def test_negative_width_rejected(tagged_docs, grammars):
     flat = flatten(grammars.pn)
     doc_id, tagged = tagged_docs[0]
     with pytest.raises(ValueError):
-        build_concordance(locate(flat, tagged), tagged.source, -1, doc_id)
+        build_concordance(locate(flat, tagged), tagged.texts[0], -1, doc_id)
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -207,7 +207,7 @@ def fixture_system_lines(tagged_docs, grammars, which):
     flat = flatten(grammars.pn if which == "PN" else grammars.svc)
     lines = []
     for doc_id, tagged in tagged_docs:
-        lines.extend(build_concordance(locate(flat, tagged), tagged.source, 40, doc_id))
+        lines.extend(build_concordance(locate(flat, tagged), tagged.texts[0], 40, doc_id))
     return lines
 
 

@@ -20,7 +20,7 @@ from lexgram.rtn import (EPSILON, Call, Grammar, Graph, Literal, Match,
                          check_recursion, flatten)
 from lexgram.textproc import NUMBER, PUNCT, WORD, Token, build_corpus, tag, tokenize
 
-from conftest import reference_join
+from conftest import reference_join, reference_tag
 
 CASES = 500
 
@@ -334,7 +334,7 @@ def _assert_corpus_equals_reference(texts):
     byte span."""
     for policy in CASE_POLICIES:
         corpus = build_corpus(texts, _PIECE_INDEX, policy)
-        want = reference_join(tag(tokenize_by_character(t), _PIECE_INDEX, t, policy)
+        want = reference_join(reference_tag(tokenize_by_character(t), _PIECE_INDEX, policy)
                               for t in texts)
         assert corpus.keys == want.keys
         assert len({id(key) for key in corpus.keys}) == len(set(corpus.keys))

@@ -19,7 +19,7 @@ from lexgram.rtn import (EPSILON, POLICIES, Grammar, Graph, Literal, Mask, Match
 from lexgram.textproc import (UNKNOWN_ANALYSES, WORD, build_corpus, scope_keys, tag,
                               tokenize)
 
-from conftest import fixture_path, per_document_counts, reference_join
+from conftest import fixture_path, per_document_counts, reference_join, reference_tag
 
 CASES = 1000
 
@@ -224,7 +224,7 @@ def test_restricted_tagging_equals_filtered_lexicon(entries, extra, texts):
         column = scope_keys(corpus, full, SUBCATEGORIES, policy)
         for scope, subcat in enumerate(SUBCATEGORIES, 1):
             scoped = build_index(filter_subcategory(lexicon, subcat))
-            want = reference_join(tag(tokenize(t), scoped, t, policy) for t in texts)
+            want = reference_join(reference_tag(tokenize(t), scoped, policy) for t in texts)
             keys = scope_keys(corpus, full, (subcat,), policy)
             assert keys == want.keys, (subcat, policy)
             assert [(key[0], key[scope]) for key in column] == want.keys, (subcat, policy)
@@ -393,7 +393,8 @@ def test_scoped_walk_equals_one_locate_per_scope(entries, limit, rng, extra, tex
     overrides = {sc: rng.choice(pool) for sc in subcats if rng.random() < 0.6}
     graphs = tuple(overrides.get(sc, main) for sc in subcats)
     views = [corpus._replace(keys=reference_join(
-                 tag(tokenize(t), build_index(filter_subcategory(lexicon, sc)), t, case_policy)
+                 reference_tag(tokenize(t), build_index(filter_subcategory(lexicon, sc)),
+                               case_policy)
                  for t in texts).keys)
              for sc in subcats]
     scoped = corpus._replace(keys=scope_keys(corpus, index, subcats, case_policy))
@@ -413,9 +414,9 @@ def test_match_line_bijection_randomized():
         graph = random_flat_graph(rng)
         matches = locate(graph, tagged, "all")
         width = rng.randrange(0, 12)
-        lines = build_concordance(matches, tagged.source, width, "doc")
+        lines = build_concordance(matches, tagged.texts[0], width, "doc")
         assert len(lines) == len(matches)
-        blob = tagged.source.encode("utf-8")
+        blob = tagged.texts[0].encode("utf-8")
         for line in lines:
             assert line.center == \
                 blob[line.match.start_byte:line.match.end_byte].decode("utf-8")

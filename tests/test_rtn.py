@@ -324,7 +324,7 @@ def test_locate_three_token_match():
     tagged = tagged_text("il donne l'explication")
     matches = locate(_literal_graph(), tagged)
     assert [m.span for m in matches] == [(1, 4)]
-    blob = tagged.source.encode("utf-8")
+    blob = tagged.texts[0].encode("utf-8")
     m = matches[0]
     assert blob[m.start_byte:m.end_byte].decode() == "donne l'explication"
 

@@ -9,6 +9,9 @@ from lexgram.textproc import (
     PUNCT,
     UNKNOWN,
     WORD,
+    TaggedToken,
+    Token,
+    build_corpus,
     dump_tagged,
     scope_keys,
     tag,
@@ -16,7 +19,7 @@ from lexgram.textproc import (
     tokenize,
 )
 
-from conftest import reference_join
+from conftest import reference_join, reference_tag
 
 
 def small_index():
@@ -156,7 +159,7 @@ def test_corpus_tokens_view_equals_reference_tokens(fixture_run, entries):
     tagged tokens, joined."""
     corpus, policy = fixture_run.corpus, fixture_run.cfg.case_policy
     texts = [text for _, text in fixture_run.docs]
-    want = reference_join(tag(tokenize(t), fixture_run.index, t, policy) for t in texts)
+    want = reference_join(reference_tag(tokenize(t), fixture_run.index, policy) for t in texts)
     assert len(corpus.tokens) == len(corpus.keys) == len(want.tokens)
     assert list(corpus.tokens) == want.tokens
     assert corpus.tokens[-1] == want.tokens[-1]
@@ -166,7 +169,7 @@ def test_corpus_tokens_view_equals_reference_tokens(fixture_run, entries):
     for subcat in SUBCATEGORIES:
         view = corpus._replace(keys=scope_keys(corpus, fixture_run.index, (subcat,), policy))
         scoped = build_index(filter_subcategory(entries, subcat))
-        want = reference_join(tag(tokenize(t), scoped, t, policy) for t in texts)
+        want = reference_join(reference_tag(tokenize(t), scoped, policy) for t in texts)
         assert len(view.tokens) == len(view.keys)
         assert list(view.tokens) == want.tokens, subcat
 
@@ -185,6 +188,39 @@ def test_tag_boundaries_and_sentence_end():
     assert tagged.boundaries == (5,)
     assert tagged.sentence_end(0) == 5
     assert tagged.sentence_end(5) == len(tagged.tokens)
+
+
+def test_tag_byte_spans_equal_hand_built_offsets():
+    # 2-byte "É" "é" "«" "»", 3-byte "’" and CJK; tokens built by hand
+    text = "Été « l’été » 東京. Débat"
+    tokens = [Token("Été", 0, 5, WORD, True), Token("«", 6, 8, PUNCT),
+              Token("l’", 9, 13, WORD), Token("été", 13, 18, WORD),
+              Token("»", 19, 21, PUNCT), Token("東京", 22, 28, WORD),
+              Token(".", 28, 29, PUNCT), Token("Débat", 30, 36, WORD, True, True)]
+    assert tokenize(text) == tokens
+    tagged = tag(tokens, small_index(), text)
+    assert tagged.texts == (text,) and tagged.starts == (0,)
+    assert [tagged.byte_span(i, i + 1) for i in range(len(tokens))] == \
+        [(t.start, t.end) for t in tokens]
+    assert tagged.byte_span(0, len(tokens)) == (0, len(text.encode("utf-8")))
+    assert [tt.token for tt in tagged.tokens] == tokens
+    assert tagged.tokens[-1] == TaggedToken(tokens[-1], tagged.keys[-1][1])
+
+
+def test_sentence_end_over_texts_and_one_tagged_text():
+    def ends(corpus):
+        return [corpus.sentence_end(i) for i in range(len(corpus.keys))]
+
+    # "Le débat . Le vol", "", "Fin . Ici": a sentence opens at 3, at the
+    # third text's first token 5 and at 7; the empty text adds none
+    corpus = build_corpus(["Le débat. Le vol", "", "Fin. Ici"], small_index())
+    assert corpus.starts == (0, 5, 5)
+    assert corpus.boundaries == (3, 5, 7)
+    assert ends(corpus) == [3, 3, 3, 5, 5, 7, 7, 8]
+    assert ends(build_corpus(["", "Le débat"], small_index())) == [2, 2]
+    assert ends(build_corpus(["", ""], small_index())) == []
+    text = "Fin. Le débat ! Ici"
+    assert ends(tag(tokenize(text), small_index(), text)) == [2, 2, 5, 5, 5, 6]
 
 
 def test_ambiguity_preservation_matches_lookup(entries, index, tagged_docs):
